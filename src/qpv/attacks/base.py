@@ -159,6 +159,32 @@ def shared_random_bits(trial: TrialState, n: int) -> str:
     return trial.alice[key]
 
 
+class CorrectionTranscript:
+    """Each party's teleport corrections, in the order its hops made them.
+
+    A live chain records every correction under the party that sent the
+    qubit; after the exchange both parties replay the chain, reading each
+    party's corrections back in the same order.
+    """
+
+    def __init__(self, alice=None, bob=None):
+        self.alice = [] if alice is None else list(alice)
+        self.bob = [] if bob is None else list(bob)
+        self._queues = {ALICE: self.alice, BOB: self.bob}
+        self._cursor = {ALICE: 0, BOB: 0}
+
+    def record(self, party: str, sigma):
+        self._queues[party].append(sigma)
+
+    def replay(self, party: str):
+        queue = self._queues[party]
+        cursor = self._cursor[party]
+        if cursor >= len(queue):
+            raise StrategyError("correction transcript exhausted during replay")
+        self._cursor[party] = cursor + 1
+        return queue[cursor]
+
+
 @dataclass(frozen=True)
 class ChainGate:
     """One strip target: `matrix` on `targets`, owned by one party, with the
@@ -178,10 +204,11 @@ class ChainEngine:
     """Realized-path simulator/replayer for teleportation-chain attacks.
 
     Live mode (state given): teleports run on the actual register through
-    fresh Bell pairs, corrections append to the two sigma queues, and the
-    ledger is charged. Replay mode (state None): corrections pop from the
-    given queues and nothing is measured; both parties decode by replaying
-    the identical deterministic control flow after the exchange.
+    fresh Bell pairs, corrections are recorded in the transcript, and the
+    ledger is charged. Replay mode (state None): corrections are read back
+    from the given transcripts and nothing is measured; both parties decode
+    by replaying the identical deterministic control flow after the
+    exchange.
     """
 
     def __init__(
@@ -201,10 +228,7 @@ class ChainEngine:
         self.live = state is not None
         self.outer = np.eye(2**n, dtype=np.complex128)
         self.holder = ALICE
-        self.alice_sigmas = [] if alice_sigmas is None else list(alice_sigmas)
-        self.bob_sigmas = [] if bob_sigmas is None else list(bob_sigmas)
-        self._queues = {ALICE: self.alice_sigmas, BOB: self.bob_sigmas}
-        self._cursor = {ALICE: 0, BOB: 0}
+        self.transcript = CorrectionTranscript(alice_sigmas, bob_sigmas)
         self.burn_candidates: list[np.ndarray] = []
 
     def _hop(self, targets: tuple[int, ...]) -> PauliOperator:
@@ -214,14 +238,9 @@ class ChainEngine:
             sigma, post, used = teleport_register(self.state, targets, self.rng)
             self.state = post
             self.ledger.spend(used)
-            self._queues[sender].append(sigma)
+            self.transcript.record(sender, sigma)
         else:
-            queue = self._queues[sender]
-            cursor = self._cursor[sender]
-            if cursor >= len(queue):
-                raise StrategyError("correction transcript exhausted during replay")
-            sigma = queue[cursor]
-            self._cursor[sender] = cursor + 1
+            sigma = self.transcript.replay(sender)
         self.outer = sigma.matrix() @ self.outer
         self.holder = BOB if sender == ALICE else ALICE
         return sigma

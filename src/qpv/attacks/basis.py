@@ -146,8 +146,8 @@ class ChainAttack(CoalitionStrategy):
             rng=rng,
             ledger=trial.ledger,
         )
-        trial.alice["sigmas"] = engine.alice_sigmas
-        trial.bob["sigmas"] = engine.bob_sigmas
+        trial.alice["sigmas"] = engine.transcript.alice
+        trial.bob["sigmas"] = engine.transcript.bob
         # kept for cross-engine state validation; the protocol never reads it
         trial.bob["premeasure"] = engine.state
         trial.bob["bits"] = engine.measure()

@@ -30,7 +30,15 @@ import numpy as np
 
 from ..costs import pbt_cost, sk_cost
 from ..errors import StrategyError, ValidationError
-from ..pauli import try_as_pauli
+from ..pauli import (
+    CLIFFORD_1Q,
+    CLIFFORD_INV,
+    CLIFFORD_MUL,
+    CLIFFORD_XZ,
+    PAULI_CLIFFORD,
+    clifford_conjugation_table,
+    try_as_pauli,
+)
 from ..protocols import EMPTY_SYMBOL, Challenge, IpShare, reconstruct_ip_unitary
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
@@ -41,16 +49,14 @@ from ..statevec import (
     phase_invariant_distance,
 )
 from ..teleport import build_pbt_channel, pbt_teleport, pbt_teleport_density
-from .base import ALICE, BOB, CoalitionStrategy, TrialState, shared_random_bits
-
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI_XZ = {
-    (0, 0): np.eye(2, dtype=np.complex128),
-    (1, 0): _X,
-    (0, 1): _Z,
-    (1, 1): _X @ _Z,
-}
+from .base import (
+    ALICE,
+    BOB,
+    CoalitionStrategy,
+    CorrectionTranscript,
+    TrialState,
+    shared_random_bits,
+)
 
 
 def _require_ip(challenge: Challenge):
@@ -159,44 +165,48 @@ class PbtAttack(CoalitionStrategy):
         return self._decode(trial, trial.bob["bits"], alice_message["lost"])
 
 
-class _FastChain:
-    """Single-qubit strip chain with synthetic corrections.
+_LETTER_CONJ = {
+    letter: clifford_conjugation_table(m)
+    for letter, m in LETTER_MATRICES.items()
+    if letter != "I"
+}
+
+
+class _TableChain:
+    """Single-qubit strip chain with synthetic corrections, tracked by index.
 
     Teleport corrections are uniform Pauli bits independent of the state,
-    so a hop can sample its own (x, z) pair instead of building Bell pairs;
-    the running product of every applied operator is tracked so the final
-    physical qubit is recovered exactly as `applied @ psi`. Replay mode pops
-    the recorded corrections and repeats the identical control flow.
+    so a hop samples its own (x, z) pair instead of building Bell pairs.
+    The outer operator is an index into CLIFFORD_1Q: it is a Pauli before
+    every letter, a letter (H, T or Tdg) conjugates it to a Clifford, and
+    one burn brings it back to a Pauli, so every step is an exact integer
+    lookup. The product of everything applied equals frame @ W, where W is
+    the words' product (_words_product) times the exact opening strip, so
+    the final qubit is recovered without a per-letter matrix. Replay mode
+    reads the recorded corrections back and repeats the same control flow.
     """
 
     def __init__(self, rng=None, alice=None, bob=None):
         self.live = rng is not None
         self.rng = rng
-        self.alice = [] if alice is None else list(alice)
-        self.bob = [] if bob is None else list(bob)
-        self._queues = {ALICE: self.alice, BOB: self.bob}
-        self._cursor = {ALICE: 0, BOB: 0}
+        self.transcript = CorrectionTranscript(alice, bob)
         self.holder = ALICE
-        self.outer = np.eye(2, dtype=np.complex128)
-        self.applied = np.eye(2, dtype=np.complex128)
+        self.outer = PAULI_CLIFFORD[(0, 0)]
         self.moves = 0
         self.burns = 0
+
+    @property
+    def frame(self) -> np.ndarray:
+        return CLIFFORD_1Q[self.outer]
 
     def _hop(self):
         sender = self.holder
         if self.live:
             xz = (int(self.rng.bits(1)[0]), int(self.rng.bits(1)[0]))
-            self._queues[sender].append(xz)
+            self.transcript.record(sender, xz)
         else:
-            queue = self._queues[sender]
-            cursor = self._cursor[sender]
-            if cursor >= len(queue):
-                raise StrategyError("correction transcript exhausted during replay")
-            xz = queue[cursor]
-            self._cursor[sender] = cursor + 1
-        m = _PAULI_XZ[xz]
-        self.outer = m @ self.outer
-        self.applied = m @ self.applied
+            xz = self.transcript.replay(sender)
+        self.outer = CLIFFORD_MUL[PAULI_CLIFFORD[xz]][self.outer]
         self.holder = BOB if sender == ALICE else ALICE
 
     def move_to(self, party: str):
@@ -204,40 +214,25 @@ class _FastChain:
             self._hop()
             self.moves += 1
 
-    def _snap(self):
-        """Replace outer by its exact Pauli matrix.
-
-        Words run hundreds of letters and a burn feeds outer back into
-        itself, so floating drift would compound exponentially if the
-        invariant were only checked, never re-anchored.
-        """
-        p = try_as_pauli(self.outer)
-        if p is None:
-            return False
-        self.outer = p.matrix()
-        return True
-
     def apply_exact(self, op: np.ndarray):
         """Opening strip by the holder; the outer operator must stay Pauli."""
-        self.outer = op @ self.outer @ op.conj().T
-        self.applied = op @ self.applied
-        if not self._snap():
+        p = try_as_pauli(op @ self.frame @ op.conj().T)
+        if p is None:
             raise StrategyError("exact strip left a non-Pauli outer operator")
-
-    def apply_letter(self, letter: str):
-        if letter == "I":
-            return
-        m = LETTER_MATRICES[letter]
-        self.outer = m @ self.outer @ m.conj().T
-        self.applied = m @ self.applied
-        if not self._snap():
-            self._burn()
+        self.outer = PAULI_CLIFFORD[(p.x_bits[0], p.z_bits[0])]
 
     def apply_word(self, letters, owner: str):
         """Apply the word's letters so their product multiplies the state."""
         self.move_to(owner)
         for letter in reversed(letters):
-            self.apply_letter(letter)
+            if letter == "I":
+                continue
+            outer = _LETTER_CONJ[letter][self.outer]
+            if outer is None:
+                raise StrategyError(f"letter {letter} left the Clifford group")
+            self.outer = outer
+            if CLIFFORD_XZ[outer] is None:
+                self._burn()
 
     def _burn(self):
         self._hop()
@@ -245,11 +240,17 @@ class _FastChain:
         # through the address-indexed bank, so acting with it is legitimate
         candidate = self.outer
         self._hop()
-        self.outer = candidate.conj().T @ self.outer
-        self.applied = candidate.conj().T @ self.applied
+        self.outer = CLIFFORD_MUL[CLIFFORD_INV[candidate]][self.outer]
         self.burns += 1
-        if not self._snap():
+        if CLIFFORD_XZ[self.outer] is None:
             raise StrategyError("burn failed to restore the Pauli invariant")
+
+    def residue_x(self) -> int:
+        """x bit of the final Pauli outer operator, which flips the outcome."""
+        xz = CLIFFORD_XZ[self.outer]
+        if xz is None:
+            raise StrategyError("chain residue is not a Pauli operator")
+        return xz[0]
 
 
 class SkAttack(CoalitionStrategy):
@@ -267,6 +268,9 @@ class SkAttack(CoalitionStrategy):
         self.depth = depth
         self.l0 = l0
         self.net = build_net(l0)
+        if depth > 0:
+            # calibrate before any trial, so pooled trials never race to it
+            self.net.ensure_convergent()
         # concatenation never lengthens words past the 5x recursion growth
         self.word_cap = l0 * 5**depth
         self.name = f"sk:{depth}"
@@ -307,6 +311,7 @@ class SkAttack(CoalitionStrategy):
         copies = challenge.n if per_qubit else 1
         u_letters = []
         v_letters = []
+        words_product = []
         for q in range(copies):
             u = _share_factors(challenge.v0_classical, q)
             v = _share_factors(challenge.v1_classical, q)
@@ -314,6 +319,7 @@ class SkAttack(CoalitionStrategy):
             v_words = self._compile(v, budget, "v")
             u_letters.append(tuple(w.letters for w in u_words))
             v_letters.append(tuple(w.letters for w in v_words))
+            words_product.append(_words_product(u_words, v_words))
         trial.alice["u_letters"] = tuple(u_letters)
         trial.bob["v_letters"] = tuple(v_letters)
 
@@ -322,16 +328,17 @@ class SkAttack(CoalitionStrategy):
         bits = {}
         for q in range(challenge.n):
             c = q if per_qubit else 0
-            u = _share_factors(challenge.v0_classical, q)
-            chain = _FastChain(rng=rng)
-            chain.apply_exact(u[0].conj().T)
+            opening = _share_factors(challenge.v0_classical, q)[0].conj().T
+            chain = _TableChain(rng=rng)
+            chain.apply_exact(opening)
             _run_words(chain, u_letters[c], v_letters[c])
             trial.ledger.spend(chain.moves + 2 * chain.burns)
-            psi = chain.applied @ delivered.states.qubit(q).amps
+            applied = chain.frame @ words_product[c] @ opening
+            psi = applied @ delivered.states.qubit(q).amps
             p1 = float(np.abs(psi[1]) ** 2 / (np.abs(psi) ** 2).sum())
             bits[q] = int(rng.random() < p1)
-            alice_sigmas.append(tuple(chain.alice))
-            bob_sigmas.append(tuple(chain.bob))
+            alice_sigmas.append(tuple(chain.transcript.alice))
+            bob_sigmas.append(tuple(chain.transcript.bob))
         trial.alice["sigmas"] = tuple(alice_sigmas)
         trial.bob["sigmas"] = tuple(bob_sigmas)
         trial.bob["bits"] = bits
@@ -360,12 +367,9 @@ class SkAttack(CoalitionStrategy):
                 out[q] = EMPTY_SYMBOL
                 continue
             c = q if len(u_letters) > 1 else 0
-            chain = _FastChain(alice=alice_sigmas[q], bob=bob_sigmas[q])
+            chain = _TableChain(alice=alice_sigmas[q], bob=bob_sigmas[q])
             _run_words(chain, u_letters[c], v_letters[c])
-            residue = try_as_pauli(chain.outer)
-            if residue is None:
-                raise StrategyError("chain residue is not a Pauli operator")
-            out[q] = str(bits[q] ^ residue.x_bits[0])
+            out[q] = str(bits[q] ^ chain.residue_x())
         return _answer(out, n)
 
     def finalize_alice(self, trial, bob_message) -> str:
@@ -391,15 +395,28 @@ class SkAttack(CoalitionStrategy):
         )
 
 
-def _run_words(chain: _FastChain, u_letters, v_letters):
-    """Strip v_1, u_2, v_2, ..., v_t in order (u_1 was stripped exactly)."""
-    t = len(v_letters)
-    for k in range(2 * t - 1):
+def _strip_order(u_words, v_words):
+    """(word, owner) for v_1, u_2, v_2, ..., v_t (u_1 is stripped exactly)."""
+    for k in range(2 * len(v_words) - 1):
         if k % 2 == 0:
-            chain.apply_word(v_letters[k // 2], BOB)
+            yield v_words[k // 2], BOB
         else:
-            chain.apply_word(u_letters[(k - 1) // 2], ALICE)
+            yield u_words[(k - 1) // 2], ALICE
+
+
+def _run_words(chain: _TableChain, u_letters, v_letters):
+    """Strip every compiled word in order, then hand the qubit to Bob."""
+    for letters, owner in _strip_order(u_letters, v_letters):
+        chain.apply_word(letters, owner)
     chain.move_to(BOB)
+
+
+def _words_product(u_words, v_words) -> np.ndarray:
+    """Product of the strip words' cached unitaries, last stripped leftmost."""
+    product = np.eye(2, dtype=np.complex128)
+    for word, _ in _strip_order(u_words, v_words):
+        product = word.unitary @ product
+    return product
 
 
 class RandomBasisAttack(CoalitionStrategy):

@@ -67,7 +67,12 @@ def _build_parser() -> _Parser:
     run.add_argument("config", help="path to a key = value config file")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--threads", type=int, default=None)
+    run.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="trial pool size; 0 or 1 runs trials serially (default: the config's threads)",
+    )
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -320,7 +325,7 @@ def _cmd_pbt_bench(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "metrics": {"fidelity": {"mean": mean, "stderr": stderr}},
-        "fidelity_bound": max(0.0, 1.0 - 4.0 / ports),
+        "fidelity_bound": pbt_fidelity_bound([ports]).value,
         "wall_clock_seconds": round(time.perf_counter() - start, 6),
     }
     _emit_record(record, args.format, args.out)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -58,9 +57,10 @@ _IP_ONLY = ("t", "eta_err", "eta_loss", "per_qubit_unitaries")
 class ExperimentConfig:
     """Validated, fully typed description of one Monte Carlo experiment.
 
-    threads = 0 means "use all available cores"; any positive value pins the
-    pool size. Keys that belong to the other protocol family keep their
-    defaults and are rejected if a config file tries to set them.
+    threads = 0 (the default) and threads = 1 run trials serially; a larger
+    value runs them on a pool of that many threads. Keys that belong to the
+    other protocol family keep their defaults and are rejected if a config
+    file tries to set them.
     """
 
     game: str
@@ -282,7 +282,6 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
     """
     spec, channel, bank = build_spec(config)
     actor = resolve_actor(config.actor)
-    threads = config.threads if config.threads > 0 else (os.cpu_count() or 1)
     rng = RngStream(config.seed, stream=0)
     start = time.perf_counter()
     stats = run_game(
@@ -292,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
         trials=config.trials,
         rng=rng,
         bank=bank,
-        threads=threads,
+        threads=max(config.threads, 1),
         keep_trials=True,
     )
     elapsed = time.perf_counter() - start
@@ -445,7 +444,7 @@ def apply_overrides(
         updates["trials"] = trials
     if threads is not None:
         if threads < 0:
-            raise ValidationError("threads must be non-negative (0 = all cores)")
+            raise ValidationError("threads must be non-negative (0 or 1 = serial)")
         updates["threads"] = threads
     if out is not None:
         updates["out"] = out

@@ -10,6 +10,11 @@ U is in C_{k+1} iff U sigma U^dag is in C_k for every Pauli sigma. For k >= 3
 the levels are not groups, so membership is tested by conjugating all 4^n
 phaseless Paulis and recursing; checking generators only would be unsound.
 Intended for n <= 2 and k <= 4, which covers every protocol in the package.
+
+The 24-element single-qubit Clifford group modulo phase is built once at
+import, by breadth-first closure of {H, S}, with integer tables for its
+products, inverses and Pauli elements, so code that only ever holds a
+single-qubit Clifford can track it by index instead of by matrix.
 """
 
 from __future__ import annotations
@@ -306,3 +311,64 @@ def _embed_cnot(control: int, target: int, n: int) -> np.ndarray:
             out = (out << 1) | b
         m[out, idx] = 1.0
     return m
+
+
+def _phase_free_keys(ms: np.ndarray) -> list[bytes]:
+    """One key per 2x2 matrix in the stack, equal for matrices equal up to phase.
+
+    Each matrix is scaled so that its first nonzero entry is real and
+    positive, then its entries are rounded.
+    """
+    flat = np.asarray(ms, dtype=np.complex128).reshape(-1, 4)
+    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > ATOL, axis=1)]
+    flat = flat * (np.abs(pivot) / pivot)[:, None]
+    rounded = np.round(np.concatenate((flat.real, flat.imag), axis=1) * 1e8)
+    return [row.tobytes() for row in rounded.astype(np.int64)]
+
+
+def _clifford_group() -> np.ndarray:
+    """Breadth-first closure of {H, S}, one matrix per element modulo phase."""
+    elements = [I2]
+    seen = set(_phase_free_keys(I2))
+    frontier = [I2]
+    while frontier:
+        grown = []
+        for m in frontier:
+            products = np.stack([H @ m, S @ m])
+            for c, key in zip(products, _phase_free_keys(products)):
+                if key not in seen:
+                    seen.add(key)
+                    elements.append(c)
+                    grown.append(c)
+        frontier = grown
+    return np.stack(elements)
+
+
+# The 24 single-qubit Cliffords modulo phase; element 0 is the identity.
+CLIFFORD_1Q = _clifford_group()
+_CLIFFORD_INDEX = {key: k for k, key in enumerate(_phase_free_keys(CLIFFORD_1Q))}
+
+
+def _clifford_indices(ms: np.ndarray) -> tuple[int | None, ...]:
+    return tuple(_CLIFFORD_INDEX.get(key) for key in _phase_free_keys(ms))
+
+
+def clifford_index(m: np.ndarray) -> int | None:
+    """Index of m in CLIFFORD_1Q up to phase, or None if m is not a Clifford."""
+    return _clifford_indices(m)[0]
+
+
+def clifford_conjugation_table(g: np.ndarray) -> tuple[int | None, ...]:
+    """Entry k is the index of g C_k g^dag, or None where it leaves the group."""
+    g = np.asarray(g, dtype=np.complex128)
+    return _clifford_indices(g @ CLIFFORD_1Q @ g.conj().T)
+
+
+# CLIFFORD_MUL[a][b] is the index of C_a C_b; CLIFFORD_INV[a] that of C_a^dag.
+CLIFFORD_MUL = tuple(_clifford_indices(a @ CLIFFORD_1Q) for a in CLIFFORD_1Q)
+CLIFFORD_INV = _clifford_indices(CLIFFORD_1Q.conj().transpose(0, 2, 1))
+# (x, z) -> index of X^x Z^z, and back: the bits of each Pauli element, None
+# for the 20 elements that are not Paulis.
+PAULI_CLIFFORD = {xz: clifford_index(m) for xz, m in _SINGLE.items()}
+_XZ_OF_INDEX = {k: xz for xz, k in PAULI_CLIFFORD.items()}
+CLIFFORD_XZ = tuple(_XZ_OF_INDEX.get(k) for k in range(len(CLIFFORD_1Q)))

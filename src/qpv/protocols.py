@@ -27,6 +27,7 @@ desk scale n <= 8.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
@@ -34,7 +35,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BankError, ValidationError
-from .gates import H, I2
+from .gates import H, I2, X, Y, Z
 from .layout import CircuitLayout
 from .pauli import PauliOperator, random_clifford
 from .rng import RngStream
@@ -289,6 +290,11 @@ def reconstruct_ip_unitary(
     return out
 
 
+# depolarizing draws index this stack; Y itself, not X @ Z = -iY, so the
+# payload amplitudes carry the phase the channel has always applied
+_PAULI_STACK = np.stack([I2, X, Y, Z])
+
+
 def apply_channel(state, channel: ChannelModel, rng: RngStream):
     """Per-qubit loss then depolarization; returns (state, lost mask).
 
@@ -302,13 +308,7 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
         dep = ~lost & (rng.random(n) < channel.p_dep)
         which = rng.integers(4, size=n)
         if dep.any():
-            paulis = np.stack(
-                [
-                    single_pauli_matrix(which[q]) if dep[q] else I2
-                    for q in range(n)
-                ]
-            )
-            state = state.apply_each(paulis)
+            state = state.apply_each(_PAULI_STACK[np.where(dep, which, 0)])
         return state, tuple(bool(b) for b in lost)
     n = state.num_qubits
     lost = []
@@ -318,15 +318,9 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
             continue
         lost.append(False)
         if channel.p_dep > 0.0 and rng.random() < channel.p_dep:
-            pauli = single_pauli_matrix(int(rng.integers(4)))
+            pauli = _PAULI_STACK[int(rng.integers(4))]
             state = apply_unitary(state, pauli, (q,))
     return state, tuple(lost)
-
-
-def single_pauli_matrix(index: int) -> np.ndarray:
-    from .gates import X, Y, Z
-
-    return (I2, X, Y, Z)[index]
 
 
 def honest_prover_basis(
@@ -432,12 +426,16 @@ def _check_answer(y: str, n: int, alphabet: str):
 
 
 class StateBank:
-    """Registry of pre-distributed challenge states, redeemable exactly once."""
+    """Registry of pre-distributed challenge states, redeemable exactly once.
+
+    Redeeming a token hands its challenge over and drops it from the bank,
+    so a run that issues and redeems in each trial holds no challenges.
+    """
 
     def __init__(self):
         self._records: dict[str, Challenge] = {}
-        self._redeemed: set[str] = set()
-        self._counter = 0
+        # next() on a count is atomic, so pooled issues never share a token
+        self._counter = itertools.count()
 
     def __len__(self) -> int:
         return len(self._records)
@@ -445,19 +443,16 @@ class StateBank:
 
 def bank_issue(spec: IPGameSpec, bank: StateBank, rng: RngStream) -> str:
     challenge = gen_ip_challenge(spec, rng)
-    token = f"sb-{bank._counter:06d}"
-    bank._counter += 1
+    token = f"sb-{next(bank._counter):06d}"
     bank._records[token] = challenge
     return token
 
 
 def bank_redeem(bank: StateBank, token: str) -> Challenge:
-    if token not in bank._records:
-        raise BankError(f"unknown state id {token!r}")
-    if token in bank._redeemed:
-        raise BankError(f"state id {token!r} was already redeemed")
-    bank._redeemed.add(token)
-    return bank._records[token]
+    challenge = bank._records.pop(token, None)
+    if challenge is None:
+        raise BankError(f"state id {token!r} is unknown or was already redeemed")
+    return challenge
 
 
 class HonestProver:

@@ -14,6 +14,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
+from qpv import sk as sk_module
 from qpv.costs import sk_cost
 from qpv.errors import StrategyError, ValidationError
 from qpv.protocols import (
@@ -82,6 +83,23 @@ def test_sk_attack_needs_an_error_allowance(sk2, rng):
     delivered = DeliveredPayload.pristine(challenge.quantum_payload, 2)
     with pytest.raises(StrategyError):
         sk2.new_trial(challenge, delivered, rng)
+
+
+def test_sk_attack_calibrates_once_before_pooled_trials(monkeypatch):
+    calls = []
+    calibrate = sk_module._calibrate
+
+    def counted(net):
+        calls.append(net)
+        return calibrate(net)
+
+    monkeypatch.setattr(sk_module, "_calibrate", counted)
+    attack = SkAttack(1, l0=10)
+    assert len(calls) == 1
+    spec = IPGameSpec(2, 1, eta_err=0.5)
+    stats = run_game(spec, attack, CLEAN, 4, RngStream(3, 0), threads=2)
+    assert stats.trials == 4
+    assert len(calls) == 1
 
 
 def test_sk_attack_depth_validation():

@@ -213,6 +213,18 @@ def test_bank_tokens_redeem_once(rng):
         bank_redeem(bank, "sb-999999")
 
 
+def test_bank_frees_redeemed_challenges(rng):
+    bank = StateBank()
+    run_game(IPGameSpec(2, 1), HonestProver(), ChannelModel(), 50, rng, bank=bank)
+    assert len(bank) == 0
+    token = bank_issue(IPGameSpec(2, 1), bank, rng)
+    assert token == "sb-000050"
+    bank_redeem(bank, token)
+    assert len(bank) == 0
+    with pytest.raises(BankError):
+        bank_redeem(bank, token)
+
+
 def test_bank_mode_skips_the_channel(rng):
     spec = IPGameSpec(2, 1)
     lossy = ChannelModel(p_loss=1.0)
