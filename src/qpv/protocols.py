@@ -23,6 +23,12 @@ Product-state payloads (the IP game and the bb84 family) use the per-qubit
 QubitArray representation so n = 10^4 games stay cheap; the entangling basis
 families (pauli, clifford, haar, explicit, layout) use full state vectors at
 desk scale n <= 8.
+
+Per-qubit data are numpy arrays: the secret string x is a uint8 bit array and
+the channel's loss mask a bool array. Answers stay strings over "0", "1" and
+the empty symbol "-"; the honest provers render them from their bit arrays in
+one step, and the verifiers read them back as uint8 symbol codes through a
+256-entry lookup table, so no per-qubit Python runs on the honest path.
 """
 
 from __future__ import annotations
@@ -152,7 +158,7 @@ class IpShare:
 class Secret:
     """The verifiers' hidden record: the string and the full rotation."""
 
-    x: tuple[int, ...]
+    x: np.ndarray  # (n,) uint8 bits
     unitary: np.ndarray
 
 
@@ -170,14 +176,15 @@ class Challenge:
 @dataclass(frozen=True)
 class DeliveredPayload:
     """What reaches the prover side: the (possibly noisy) state plus which
-    qubits the channel dropped."""
+    qubits the channel dropped, as an (n,) bool array. Readers take the mask
+    through np.asarray(lost, dtype=bool), so a tuple of bools also works."""
 
     states: Union[StateVector, QubitArray]
-    lost: tuple[bool, ...]
+    lost: np.ndarray
 
     @classmethod
     def pristine(cls, payload, n: int) -> "DeliveredPayload":
-        return cls(payload, (False,) * n)
+        return cls(payload, np.zeros(n, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -198,19 +205,13 @@ class TrialOutcome:
     epr_reserved: int
 
 
-def _uniform_bits(n: int, rng: RngStream) -> tuple[int, ...]:
-    return tuple(int(b) for b in rng.integers(2, size=n))
-
-
 def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
     """Sample (U, x) uniformly and prepare U|x>."""
-    x = _uniform_bits(spec.n, rng)
+    x = rng.bits(spec.n)
     family = spec.family
     if family == "bb84":
         letters = tuple("H" if b else "I" for b in rng.integers(2, size=spec.n))
-        payload = QubitArray.from_bits(x)
-        mats = np.stack([H if g == "H" else I2 for g in letters])
-        payload = payload.apply_each(mats)
+        payload = QubitArray.from_bits(x).apply_each(_bb84_rotations(letters))
         share = BasisShare(family, letters=letters)
         # secret unitary kept per-qubit implicitly via the letters
         secret = Secret(x, np.empty(0))
@@ -218,8 +219,8 @@ def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
     if family == "explicit":
         u = spec.unitaries[int(rng.integers(len(spec.unitaries)))]
     elif family == "pauli":
-        x_bits = _uniform_bits(spec.n, rng)
-        z_bits = _uniform_bits(spec.n, rng)
+        x_bits = rng.bits(spec.n)
+        z_bits = rng.bits(spec.n)
         u = PauliOperator(x_bits, z_bits, 0).matrix()
     elif family == "clifford":
         u = random_clifford(spec.n, rng)
@@ -234,7 +235,7 @@ def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
 
 def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
     """Sample u_1..u_t and v_1..v_{t-1} Haar; v_t closes the product to U."""
-    x = _uniform_bits(spec.n, rng)
+    x = rng.bits(spec.n)
     copies = spec.n if spec.per_qubit_unitaries else 1
     u_all = np.empty((spec.t, copies, 2, 2), dtype=np.complex128)
     v_all = np.empty((spec.t, copies, 2, 2), dtype=np.complex128)
@@ -252,11 +253,11 @@ def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
         product = prefix @ v_all[spec.t - 1, q]
         if phase_invariant_distance(product, target[q]) > 1e-9:
             raise ValidationError("interleaved product failed to close")
-    per_qubit = target if spec.per_qubit_unitaries else np.broadcast_to(
-        target[0], (spec.n, 2, 2)
-    )
-    # U|x_q> is column x_q of the qubit's unitary
-    columns = per_qubit[np.arange(spec.n), :, np.asarray(x)]
+    # U|x_q> is column x_q of the qubit's unitary, so row x_q of U^T
+    if spec.per_qubit_unitaries:
+        columns = target[np.arange(spec.n), :, x]
+    else:
+        columns = np.take(target[0].T, x, axis=0)
     payload = QubitArray(columns)
     if spec.per_qubit_unitaries:
         u_share, v_share = u_all, v_all
@@ -296,7 +297,7 @@ _PAULI_STACK = np.stack([I2, X, Y, Z])
 
 
 def apply_channel(state, channel: ChannelModel, rng: RngStream):
-    """Per-qubit loss then depolarization; returns (state, lost mask).
+    """Per-qubit loss then depolarization; returns (state, lost bool array).
 
     Lost qubits are flagged, not removed; consumers must ignore their
     amplitudes. Depolarization applies a Pauli drawn uniformly from all four
@@ -308,8 +309,10 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
         dep = ~lost & (rng.random(n) < channel.p_dep)
         which = rng.integers(4, size=n)
         if dep.any():
-            state = state.apply_each(_PAULI_STACK[np.where(dep, which, 0)])
-        return state, tuple(bool(b) for b in lost)
+            state = state.apply_each(
+                np.take(_PAULI_STACK, np.where(dep, which, 0), axis=0)
+            )
+        return state, lost
     n = state.num_qubits
     lost = []
     for q in range(n):
@@ -320,7 +323,20 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
         if channel.p_dep > 0.0 and rng.random() < channel.p_dep:
             pauli = _PAULI_STACK[int(rng.integers(4))]
             state = apply_unitary(state, pauli, (q,))
-    return state, tuple(lost)
+    return state, np.array(lost, dtype=bool)
+
+
+def _bb84_rotations(letters: tuple[str, ...]) -> np.ndarray:
+    """(n, 2, 2) stack of H or I per bb84 letter; both are self-inverse."""
+    return np.stack([H if g == "H" else I2 for g in letters])
+
+
+def _render_answer(bits: np.ndarray, lost: np.ndarray | None = None) -> str:
+    """The answer string of a bit array, with the empty symbol where lost."""
+    codes = bits + ord("0")
+    if lost is not None:
+        codes = np.where(lost, ord(EMPTY_SYMBOL), codes)
+    return codes.astype(np.uint8, copy=False).tobytes().decode("ascii")
 
 
 def honest_prover_basis(
@@ -330,24 +346,19 @@ def honest_prover_basis(
     share: BasisShare = challenge.v1_classical
     states = delivered.states
     if isinstance(states, QubitArray):
-        mats = np.stack(
-            [H if g == "H" else I2 for g in share.letters]
-        )
-        bits = states.apply_each(mats).measure_all(rng)
+        bits = states.apply_each(_bb84_rotations(share.letters)).measure_all(rng)
     else:
         inverse = share.unitary.conj().T
         undone = apply_unitary(states, inverse, tuple(range(challenge.n)))
         measured, _ = measure_computational(
             undone, tuple(range(challenge.n)), rng
         )
-        bits = list(measured)
-    out = []
-    for q in range(challenge.n):
-        if delivered.lost[q]:
-            out.append(str(int(rng.integers(2))))
-        else:
-            out.append(str(int(bits[q])))
-    return "".join(out)
+        bits = np.array(measured, dtype=np.uint8)
+    # one batched integers(2) draw yields the same values, and leaves the
+    # stream at the same point, as one scalar draw per lost qubit in order
+    lost = np.asarray(delivered.lost, dtype=bool)
+    bits[lost] = rng.integers(2, size=int(np.count_nonzero(lost)))
+    return _render_answer(bits)
 
 
 def honest_prover_ip(
@@ -372,10 +383,7 @@ def honest_prover_ip(
         u = reconstruct_ip_unitary(challenge.v0_classical, challenge.v1_classical)
         undone = states.apply_same(u.conj().T)
     bits = undone.measure_all(rng)
-    return "".join(
-        EMPTY_SYMBOL if delivered.lost[q] else str(int(bits[q]))
-        for q in range(challenge.n)
-    )
+    return _render_answer(bits, np.asarray(delivered.lost, dtype=bool))
 
 
 def _count_clause(count: int, threshold: float, strict: bool) -> bool:
@@ -386,43 +394,58 @@ def _count_clause(count: int, threshold: float, strict: bool) -> bool:
     return count <= threshold + 1e-9
 
 
-def verify_basis(x: tuple[int, ...], y0: str, y1: str, eta: float) -> Verdict:
+# answer symbol codes: "0" -> 0, "1" -> 1, the empty symbol -> 2, and every
+# other byte above both, so one comparison checks the alphabet
+_ONE, _EMPTY = 1, 2
+_SYMBOL_CODES = np.full(256, 255, dtype=np.uint8)
+_SYMBOL_CODES[[ord("0"), ord("1"), ord(EMPTY_SYMBOL)]] = (0, 1, _EMPTY)
+
+
+def _answer_codes(y: str, n: int, highest: int) -> np.ndarray:
+    """Symbol codes of an n-character answer; codes above `highest` (the
+    last symbol of the game's alphabet) raise ValidationError."""
+    if len(y) != n:
+        raise ValidationError(f"answer length {len(y)} does not match n={n}")
+    # "replace" turns each non-ASCII character into one "?", outside every
+    # alphabet, so the codes stay one per character
+    raw = np.frombuffer(y.encode("ascii", "replace"), dtype=np.uint8)
+    codes = _SYMBOL_CODES[raw]
+    if codes.max(initial=0) > highest:
+        raise ValidationError("answer contains symbols outside the alphabet")
+    return codes
+
+
+def verify_basis(x: np.ndarray, y0: str, y1: str, eta: float) -> Verdict:
     """Accept iff both verifiers got the same y and d_H(x, y) <= eta*n."""
     n = len(x)
-    _check_answer(y0, n, "01")
-    _check_answer(y1, n, "01")
+    codes = _answer_codes(y0, n, _ONE)
     answers_equal = y0 == y1
-    errors = sum(1 for q in range(n) if int(y0[q]) != x[q])
+    if not answers_equal:
+        _answer_codes(y1, n, _ONE)
+    errors = int(np.count_nonzero(codes != np.asarray(x)))
     accepted = answers_equal and _count_clause(errors, eta * n, strict=False)
     return Verdict(accepted, errors, 0, answers_equal)
 
 
 def verify_ip(
-    x: tuple[int, ...], y0: str, y1: str, eta_err: float, eta_loss: float
+    x: np.ndarray, y0: str, y1: str, eta_err: float, eta_loss: float
 ) -> Verdict:
     """Accept iff answers match, errors < eta_err*n and losses < eta_loss*n
     (strict, except that a zero count always passes its clause)."""
     n = len(x)
-    _check_answer(y0, n, "01" + EMPTY_SYMBOL)
-    _check_answer(y1, n, "01" + EMPTY_SYMBOL)
+    codes = _answer_codes(y0, n, _EMPTY)
     answers_equal = y0 == y1
-    losses = sum(1 for c in y0 if c == EMPTY_SYMBOL)
-    errors = sum(
-        1 for q in range(n) if y0[q] != EMPTY_SYMBOL and int(y0[q]) != x[q]
-    )
+    if not answers_equal:
+        _answer_codes(y1, n, _EMPTY)
+    empty = codes == _EMPTY
+    losses = int(np.count_nonzero(empty))
+    errors = int(np.count_nonzero(~empty & (codes != np.asarray(x))))
     accepted = (
         answers_equal
         and _count_clause(errors, eta_err * n, strict=True)
         and _count_clause(losses, eta_loss * n, strict=True)
     )
     return Verdict(accepted, errors, losses, answers_equal)
-
-
-def _check_answer(y: str, n: int, alphabet: str):
-    if len(y) != n:
-        raise ValidationError(f"answer length {len(y)} does not match n={n}")
-    if any(c not in alphabet for c in y):
-        raise ValidationError("answer contains symbols outside the alphabet")
 
 
 class StateBank:

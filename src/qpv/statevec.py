@@ -365,10 +365,13 @@ class QubitArray:
     __slots__ = ("amps",)
 
     def __init__(self, amps, normalize: bool = False):
-        a = np.asarray(amps, dtype=np.complex128)
+        a = np.ascontiguousarray(amps, dtype=np.complex128)
         if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1:
             raise ValidationError("QubitArray expects an (n, 2) array")
-        norms = np.linalg.norm(a, axis=1)
+        # row norms from the float64 view: np.linalg.norm would first copy
+        # the conjugate
+        re_im = a.view(np.float64)
+        norms = np.sqrt(np.einsum("ij,ij->i", re_im, re_im))
         if normalize:
             if np.any(norms == 0.0):
                 raise ValidationError("cannot normalize a zero row")

@@ -69,3 +69,67 @@ def test_pbt_bench_reports_the_fidelity_bound(ports, bound, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["fidelity_bound"] == bound
     assert record["fidelity_bound"] == max(0.0, 1.0 - 4.0 / ports)
+
+
+def test_cost_prints_a_record_and_exits_zero(capsys):
+    assert main(["cost", "pauli", "n=3"]) == 0
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert record["formula_id"] == "pauli"
+    assert record["params"] == {"n": "3"}
+    assert err == ""
+
+
+def test_cost_rejects_a_bad_parameter_with_one_error_line(capsys):
+    assert main(["cost", "pauli", "n=three"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert "parameter 'n' expects an integer, got 'three'" in lines[0]
+
+
+def test_sk_compile_prints_a_word_and_exits_zero(capsys):
+    assert main(["sk-compile", "T", "--depth", "0"]) == 0
+    out, err = capsys.readouterr()
+    record = json.loads(out)
+    assert record["kind"] == "sk-compile"
+    assert record["depth"] == 0 and record["within_bound"] is True
+    assert record["length"] == len(record["letters"])
+    assert err == ""
+
+
+def test_sk_compile_rejects_a_non_unitary_matrix_file(tmp_path, capsys):
+    matrix = tmp_path / "m.json"
+    # [[1, 1], [0, 1]] as [re, im] pairs
+    matrix.write_text(json.dumps([[[1, 0], [1, 0]], [[0, 0], [1, 0]]]))
+    assert main(["sk-compile", str(matrix), "--depth", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert "matrix is not unitary" in lines[0]
+
+
+def test_plot_prints_the_axes_and_exits_zero(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_RUN)
+    record = tmp_path / "record.json"
+    assert main(["run", str(config), "--out", str(record)]) == 0
+    assert main(["plot", str(record), "--axes", "config.n,metrics.win_rate.mean"]) == 0
+    out, err = capsys.readouterr()
+    assert out == "config.n,metrics.win_rate.mean\n3,1.0\n"
+    assert err == ""
+
+
+def test_plot_rejects_a_missing_record_with_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "absent.json"
+    assert main(["plot", str(missing), "--axes", "config.n"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert f"cannot read {missing}" in lines[0]

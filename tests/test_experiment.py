@@ -1,6 +1,7 @@
 """Config file format, experiment records, and the bound-comparison helpers."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -144,6 +145,44 @@ def test_records_are_byte_identical_across_threads():
     assert one.record["metrics"] == pooled.record["metrics"]
     assert one.record["error_histogram"] == pooled.record["error_histogram"]
     assert one.trial_csv == pooled.trial_csv
+
+
+FROZEN_HONEST_IP = """\
+game = ip
+n = 2000
+actor = honest
+t = 2
+p_loss = 0.05
+p_dep = 0.05
+trials = 5
+seed = 11
+"""
+
+FROZEN_HONEST_BASIS = """\
+game = basis
+family = bb84
+n = 2000
+actor = honest
+p_loss = 0.05
+trials = 5
+seed = 11
+"""
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (FROZEN_HONEST_IP, "fcd1e4d3ed48aa8afab5dc8adb159ddc3f291b2bff97e1d6e217d33cded95e74"),
+        (FROZEN_HONEST_BASIS, "3535a79cbdebaa819ffb820ec472e730b8e922ce21247bf8b22effac7a59d191"),
+    ],
+    ids=["honest-ip", "honest-bb84"],
+)
+def test_records_match_their_frozen_digests(text, digest):
+    # A change to any random draw of the honest games changes these records.
+    # Such a change bumps ARTIFACT_VERSION and re-derives both digests.
+    record = strip_wall_clock(run_experiment(parse_config(text)).record)
+    assert record["artifact_version"] == 1
+    assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == digest
 
 
 def test_canonical_json_is_sorted_and_newline_terminated():

@@ -126,9 +126,9 @@ def test_ip_challenge_per_qubit_unitaries(rng):
 def test_apply_channel_loss_marks_all(rng):
     state = StateVector.from_bits((0, 1))
     _, lost = apply_channel(state, ChannelModel(p_loss=1.0), rng)
-    assert lost == (True, True)
+    assert lost.tolist() == [True, True]
     _, kept = apply_channel(state, ChannelModel(), rng)
-    assert kept == (False, False)
+    assert kept.tolist() == [False, False]
 
 
 def test_apply_channel_depolarizing_flip_rate(rng):
@@ -279,3 +279,64 @@ def test_run_game_argument_validation(rng):
         run_game(spec, HonestProver(), ChannelModel(), 0, rng)
     with pytest.raises(ValidationError):
         run_game(spec, HonestProver(), ChannelModel(), 5, rng, threads=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apply_channel_returns_the_loss_draw_as_a_bool_array(seed):
+    n = 500
+    state = QubitArray.from_bits(np.zeros(n, dtype=np.uint8))
+    channel = ChannelModel(p_loss=0.3, p_dep=0.2)
+    _, lost = apply_channel(state, channel, RngStream(seed, 4))
+    # the first draw of the stream decides loss, qubit by qubit
+    expected = tuple(bool(b) for b in RngStream(seed, 4).random(n) < channel.p_loss)
+    assert lost.dtype == np.bool_ and lost.shape == (n,)
+    assert tuple(lost.tolist()) == expected
+    _, lost_dense = apply_channel(StateVector.from_bits((0, 1, 1)), channel, RngStream(seed, 4))
+    assert lost_dense.dtype == np.bool_ and lost_dense.shape == (3,)
+
+
+def test_pristine_delivery_loses_nothing(rng):
+    challenge = gen_ip_challenge(IPGameSpec(7, 1), rng)
+    lost = DeliveredPayload.pristine(challenge.quantum_payload, 7).lost
+    assert lost.dtype == np.bool_ and lost.shape == (7,) and not lost.any()
+
+
+def test_ip_challenge_secret_is_a_bit_array(rng):
+    x = gen_ip_challenge(IPGameSpec(50, 2), rng).secret.x
+    assert x.dtype == np.uint8 and x.shape == (50,) and set(x.tolist()) <= {0, 1}
+
+
+def test_honest_ip_answer_renders_the_measured_bits():
+    n = 64
+    challenge = gen_ip_challenge(IPGameSpec(n, 2), RngStream(9, 0))
+    mask = np.arange(n) % 5 == 2
+    tuple_mask = tuple(bool(b) for b in mask)
+    answer = HonestProver().run_trial(
+        challenge, DeliveredPayload(challenge.quantum_payload, mask), RngStream(9, 1)
+    ).y_alice
+    from_tuple = HonestProver().run_trial(
+        challenge, DeliveredPayload(challenge.quantum_payload, tuple_mask), RngStream(9, 1)
+    ).y_alice
+    assert answer == from_tuple
+    u = reconstruct_ip_unitary(challenge.v0_classical, challenge.v1_classical)
+    bits = challenge.quantum_payload.apply_same(u.conj().T).measure_all(RngStream(9, 1))
+    expected = "".join("-" if mask[q] else str(int(bits[q])) for q in range(n))
+    assert answer == expected
+    assert answer.count("-") == int(mask.sum())
+
+
+def test_honest_bb84_prover_guesses_lost_qubits_in_order():
+    n = 64
+    challenge = gen_basis_challenge(BasisGameSpec(n, "bb84"), RngStream(4, 0))
+    mask = np.arange(n) % 3 == 1
+    answer = HonestProver().run_trial(
+        challenge, DeliveredPayload(challenge.quantum_payload, mask), RngStream(4, 1)
+    ).y_alice
+    # the oracle: measure every qubit, then one scalar draw per lost qubit
+    rng = RngStream(4, 1)
+    mats = np.stack([gates.H if g == "H" else gates.I2 for g in challenge.v1_classical.letters])
+    bits = [int(b) for b in challenge.quantum_payload.apply_each(mats).measure_all(rng)]
+    for q in range(n):
+        if mask[q]:
+            bits[q] = int(rng.integers(2))
+    assert answer == "".join(str(b) for b in bits)
