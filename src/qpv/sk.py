@@ -12,6 +12,13 @@ is measured on Haar samples at build time and the contraction constant of
 the recursion is calibrated the same way, so the guaranteed error profile
 eps(0) = radius_bound, eps(d+1) = c_bound * eps(d)^1.5 is an empirical
 contract checked by the tests rather than a theorem imported on faith.
+
+Up to phase an SU(2) element is a unit quaternion, and the phase-invariant
+distance falls as |<q_u, q_entry>| rises, so a net lookup is one argmax over
+a matrix-vector product with the net's stacked quaternions; the distance is
+then evaluated on the chosen entry alone. The recursion for a target at depth
+d computes its words at every depth below d on the way, and calibration reads
+that whole spine once per target instead of recompiling each depth.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ _NET_SEED = 20260818
 _RADIUS_MARGIN = 1.15
 _COMMUTATOR_MARGIN = 1.5
 _CALIBRATION_SAMPLES = 64
+# entries whose overlap is this close to the best are scored by the distance
+# formula; it need only exceed the rounding of the overlap and of that formula
+_TIE_TOLERANCE = 1e-9
 
 
 def to_su2(m: np.ndarray) -> np.ndarray:
@@ -128,6 +138,22 @@ def _canonical_key(m: np.ndarray) -> bytes:
     return np.round(v * 1e7).astype(np.int64).tobytes()
 
 
+def _quaternion(s: np.ndarray) -> np.ndarray:
+    """(Re a, Im a, Re b, Im b) of SU(2) matrices [[a, b], [-b*, a*]]."""
+    return np.ascontiguousarray(s[..., 0, :]).view(np.float64)
+
+
+def _stack_distances(u: np.ndarray, stack: np.ndarray, det_phase: np.ndarray) -> np.ndarray:
+    """su2_distance from U to each matrix of a stack with known determinant phases."""
+    u = np.asarray(u, dtype=np.complex128)
+    tr = np.einsum("ij,kij->k", u.conj(), stack)
+    det_u = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    psi = (det_phase - np.angle(det_u)) / 2.0
+    cos_chi = np.clip(np.real(tr * np.exp(-1j * psi)) / 2.0, -1.0, 1.0)
+    chi = np.arccos(cos_chi)
+    return 2.0 * np.sin(np.minimum(chi, np.pi - chi) / 2.0)
+
+
 @dataclass(frozen=True)
 class SkCalibration:
     """Measured constants behind the guaranteed error recursion."""
@@ -149,10 +175,13 @@ class SkCalibration:
 class EpsilonNet:
     """All distinct products of H/T/Tdg words up to a base length.
 
-    entries pair each GateWord with its unitary; lookups run vectorized over
-    a stacked copy. covering_radius is the largest nearest-entry distance
-    seen over the Haar sample drawn at build time, and radius_bound adds a
-    safety margin on top so fresh targets stay inside it.
+    entries pair each GateWord with its unitary. A lookup strips the target's
+    phase and takes the entry whose quaternion has the largest |dot product|
+    with the target's, against the entries' quaternions stacked once here;
+    nearest then evaluates the phase-invariant distance on that entry only,
+    and nearest_word skips it. covering_radius is the largest nearest-entry
+    distance seen over the Haar sample drawn at build time, and radius_bound
+    adds a safety margin on top so fresh targets stay inside it.
     """
 
     def __init__(self, entries, base_length, covering_radius):
@@ -163,21 +192,35 @@ class EpsilonNet:
         self._stack = np.stack([u for (_, u) in entries])
         dets = self._stack[:, 0, 0] * self._stack[:, 1, 1] - self._stack[:, 0, 1] * self._stack[:, 1, 0]
         self._det_phase = np.angle(dets)
+        stripped = self._stack * np.exp(-0.5j * self._det_phase)[:, None, None]
+        # (4, N): a vector-matrix product over rows is faster than (N, 4) @ q
+        self._quaternions = np.ascontiguousarray(_quaternion(stripped).T)
         self._calibration: SkCalibration | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def nearest(self, u: np.ndarray) -> tuple[GateWord, float]:
+    def _nearest_index(self, u: np.ndarray) -> int:
         u = np.asarray(u, dtype=np.complex128)
-        tr = np.einsum("ij,kij->k", u.conj(), self._stack)
         det_u = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        psi = (self._det_phase - np.angle(det_u)) / 2.0
-        cos_chi = np.clip(np.real(tr * np.exp(-1j * psi)) / 2.0, -1.0, 1.0)
-        chi = np.arccos(cos_chi)
-        dist = 2.0 * np.sin(np.minimum(chi, np.pi - chi) / 2.0)
-        idx = int(np.argmin(dist))
-        return self.entries[idx][0], float(dist[idx])
+        overlap = np.abs(_quaternion(u * np.exp(-0.5j * np.angle(det_u))) @ self._quaternions)
+        idx = int(np.argmax(overlap))
+        near = overlap >= overlap[idx] - _TIE_TOLERANCE
+        if np.count_nonzero(near) == 1:
+            return idx
+        best = np.flatnonzero(near)
+        # equidistant entries, e.g. a real target between a word and its
+        # conjugate: the distance formula's rounding decides, first index wins
+        dist = _stack_distances(u, self._stack[best], self._det_phase[best])
+        return int(best[np.argmin(dist)])
+
+    def nearest_word(self, u: np.ndarray) -> GateWord:
+        return self.entries[self._nearest_index(u)][0]
+
+    def nearest(self, u: np.ndarray) -> tuple[GateWord, float]:
+        idx = self._nearest_index(u)
+        dist = _stack_distances(u, self._stack[idx : idx + 1], self._det_phase[idx : idx + 1])
+        return self.entries[idx][0], float(dist[0])
 
     @property
     def calibration(self) -> SkCalibration:
@@ -310,25 +353,31 @@ def commutator_factor(delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v, w
 
 
-def _decompose(u_su2: np.ndarray, depth: int, net: EpsilonNet) -> GateWord:
-    if depth == 0:
-        return net.nearest(u_su2)[0]
-    prev = _decompose(u_su2, depth - 1, net)
-    delta = to_su2(u_su2 @ prev.unitary.conj().T)
-    v, w = commutator_factor(delta)
-    v_word = _decompose(to_su2(v), depth - 1, net)
-    w_word = _decompose(to_su2(w), depth - 1, net)
-    return concat_words(v_word, w_word, v_word.adjoint(), w_word.adjoint(), prev)
+def _spine(u_su2: np.ndarray, depth: int, net: EpsilonNet) -> list[GateWord]:
+    """Words for U at depths 0..depth; each depth corrects the one before it."""
+    spine = [net.nearest_word(u_su2)]
+    for d in range(depth):
+        prev = spine[-1]
+        delta = to_su2(u_su2 @ prev.unitary.conj().T)
+        v, w = commutator_factor(delta)
+        v_word = _spine(to_su2(v), d, net)[-1]
+        w_word = _spine(to_su2(w), d, net)[-1]
+        spine.append(concat_words(v_word, w_word, v_word.adjoint(), w_word.adjoint(), prev))
+    return spine
+
+
+def _check_depth(depth: int) -> None:
+    if depth < 0 or depth > 6:
+        raise ValidationError("recursion depth must be between 0 and 6")
 
 
 def sk_decompose(u: np.ndarray, depth: int, net: EpsilonNet) -> GateWord:
     """Word over H/T/Tdg within the calibrated eps(depth) of U, up to phase."""
-    if depth < 0 or depth > 6:
-        raise ValidationError("recursion depth must be between 0 and 6")
+    _check_depth(depth)
     u = to_su2(u)
     if depth > 0:
         net.ensure_convergent()
-    return _decompose(u, depth, net)
+    return _spine(u, depth, net)[-1]
 
 
 def _calibrate(net: EpsilonNet) -> SkCalibration:
@@ -346,18 +395,18 @@ def _calibrate(net: EpsilonNet) -> SkCalibration:
     worst = [0.0] * len(depths)
     for i in range(_CALIBRATION_SAMPLES):
         target = to_su2(haar_random_unitary(2, rng.substream(i + 1)))
+        try:
+            spine = _spine(target, depths[-1], net)
+        except ValidationError as exc:
+            # residuals of a very coarse net leave the commutator
+            # factorization's domain before any constant can be fit
+            raise ConvergenceError(
+                f"net too coarse to calibrate: covering radius "
+                f"{net.covering_radius:.3f} over {len(net)} entries "
+                f"(base length {net.base_length}): {exc}"
+            ) from None
         for d in depths:
-            try:
-                word = _decompose(target, d, net)
-            except ValidationError as exc:
-                # residuals of a very coarse net leave the commutator
-                # factorization's domain before any constant can be fit
-                raise ConvergenceError(
-                    f"net too coarse to calibrate: covering radius "
-                    f"{net.covering_radius:.3f} over {len(net)} entries "
-                    f"(base length {net.base_length}): {exc}"
-                ) from None
-            worst[d] = max(worst[d], su2_distance(target, to_su2(word.unitary)))
+            worst[d] = max(worst[d], su2_distance(target, to_su2(spine[d].unitary)))
 
     eps0 = max(net.radius_bound, 1.05 * worst[0])
     constant = _COMMUTATOR_MARGIN * worst[1] / eps0**1.5
@@ -392,16 +441,21 @@ def length_accuracy_profile(
     """Empirical word length and accuracy per recursion depth on Haar targets."""
     if samples < 1:
         raise ValidationError("need at least one sample")
-    rows = []
-    targets = [to_su2(haar_random_unitary(2, rng.substream(i + 1))) for i in range(samples)]
+    depths = [int(d) for d in depths]
     for depth in depths:
-        lengths = np.empty(samples)
-        dists = np.empty(samples)
-        for i, target in enumerate(targets):
-            word = sk_decompose(target, depth, net)
-            lengths[i] = word.length
-            dists[i] = su2_distance(target, to_su2(word.unitary))
-        rows.append(ProfileRow(int(depth), float(lengths.mean()), float(dists.mean())))
+        _check_depth(depth)
+    top = max(depths, default=0)
+    if top > 0:
+        net.ensure_convergent()
+    targets = [to_su2(haar_random_unitary(2, rng.substream(i + 1))) for i in range(samples)]
+    # stripped a second time, as sk_decompose strips its input, so the words match it
+    spines = [_spine(to_su2(target), top, net) for target in targets]
+    rows = []
+    for depth in depths:
+        words = [spine[depth] for spine in spines]
+        lengths = np.array([word.length for word in words], dtype=float)
+        dists = np.array([su2_distance(t, to_su2(w.unitary)) for t, w in zip(targets, words)])
+        rows.append(ProfileRow(depth, float(lengths.mean()), float(dists.mean())))
     return rows
 
 

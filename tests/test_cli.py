@@ -71,6 +71,20 @@ def test_pbt_bench_reports_the_fidelity_bound(ports, bound, capsys):
     assert record["fidelity_bound"] == max(0.0, 1.0 - 4.0 / ports)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--trials", "0", "trials must be at least 1"), ("--seed", "-1", "seed must be non-negative")],
+)
+def test_pbt_bench_rejects_a_bad_argument_with_one_error_line(flag, value, message, capsys):
+    assert main(["pbt-bench", "--ports", "4", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert message in lines[0]
+
+
 def test_cost_prints_a_record_and_exits_zero(capsys):
     assert main(["cost", "pauli", "n=3"]) == 0
     out, err = capsys.readouterr()

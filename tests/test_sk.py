@@ -1,14 +1,20 @@
 """Gate-word compiler: nets, recursion guarantee, and the length profile."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import gates
+from qpv.cli import main
 from qpv.errors import ConvergenceError, ValidationError
 from qpv.pauli import hierarchy_level
 from qpv.rng import RngStream
 from qpv.sk import (
     GateWord,
+    _rotation,
     adjoint_letters,
     build_net,
     concat_words,
@@ -60,10 +66,85 @@ def test_net_build_matches_frozen_oracle(net10):
 
 def test_net_nearest_returns_exact_hits(net10):
     word, dist = net10.nearest(to_su2(gates.H))
-    assert dist < 1e-6  # vectorized arccos path loses a few digits on hits
+    assert dist < 1e-6  # the arccos distance formula loses a few digits on hits
     assert np.allclose(
         to_su2(word.unitary), to_su2(gates.H), atol=1e-8
     ) or np.allclose(to_su2(word.unitary), -to_su2(gates.H), atol=1e-8)
+
+
+def oracle_nearest(net, u):
+    """Whole-stack lookup that EpsilonNet.nearest used before the quaternion argmax."""
+    u = np.asarray(u, dtype=np.complex128)
+    tr = np.einsum("ij,kij->k", u.conj(), net._stack)
+    det_u = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    psi = (net._det_phase - np.angle(det_u)) / 2.0
+    cos_chi = np.clip(np.real(tr * np.exp(-1j * psi)) / 2.0, -1.0, 1.0)
+    chi = np.arccos(cos_chi)
+    dist = 2.0 * np.sin(np.minimum(chi, np.pi - chi) / 2.0)
+    idx = int(np.argmin(dist))
+    return net.entries[idx][0], float(dist[idx])
+
+
+def assert_matches_oracle(net, u):
+    want_word, want_dist = oracle_nearest(net, u)
+    word, dist = net.nearest(u)
+    assert word is want_word
+    assert dist.hex() == want_dist.hex()
+    assert net.nearest_word(u) is want_word
+
+
+def rotation(axis, angle, phase):
+    axis = np.asarray(axis)
+    return np.exp(1j * phase) * _rotation(axis / np.linalg.norm(axis), angle)
+
+
+haar_targets = st.integers(0, 2**64 - 1).map(lambda seed: haar_random_unitary(2, RngStream(seed, 0)))
+# commutator factors of the recursion are rotations this close to identity
+small_rotations = st.builds(
+    rotation,
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: np.linalg.norm(a) > 1e-3),
+    st.floats(1e-4, 0.5),
+    st.floats(0.0, 2 * np.pi),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(haar_targets, small_rotations))
+def test_nearest_matches_the_whole_stack_oracle(net10, u):
+    assert_matches_oracle(net10, u)
+
+
+def test_nearest_matches_the_oracle_on_every_entry(net10):
+    for _, matrix in net10.entries:
+        assert_matches_oracle(net10, matrix)
+
+
+# Bit-exactness pins, computed at the commit before the quaternion lookup and
+# the per-target calibration spine: both must leave every bit of these alone.
+NET_CONSTANT_HEX = {
+    10: ("0x1.f97aa567abcdfp-3", "0x1.22a6858202c99p-2", "0x1.538141bd067b1p+0"),
+    14: ("0x1.30e2ba56855f6p-3", "0x1.5e9e5649e62dap-3", "0x1.c6f0ac3a8dcb6p+0"),
+}
+SK_COMPILE_SHA256 = {
+    ("T", "2"): "516598c7374bcb6e1f64a7907f2e3abed1560a2e9e036f6534841e1ad69760e7",
+    ("H", "3"): "8aad76175348c345ff4780d221131e90b7d565bab34dda22431e394562d4c901",
+}
+
+
+@pytest.mark.parametrize("l0", sorted(NET_CONSTANT_HEX))
+def test_net_constants_match_their_frozen_bits(l0):
+    net = build_net(l0)
+    cal = net.calibration
+    got = (net.covering_radius.hex(), net.radius_bound.hex(), cal.commutator_constant.hex())
+    assert got == NET_CONSTANT_HEX[l0]
+    assert cal.radius_bound == net.radius_bound
+
+
+@pytest.mark.parametrize("gate, depth", sorted(SK_COMPILE_SHA256))
+def test_sk_compile_records_match_their_frozen_digests(gate, depth, capsys):
+    assert main(["sk-compile", gate, "--depth", depth]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SK_COMPILE_SHA256[(gate, depth)]
 
 
 def test_depth_zero_is_net_lookup(net10):
