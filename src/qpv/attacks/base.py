@@ -149,14 +149,27 @@ def uniform_pauli(n: int, rng: RngStream) -> PauliOperator:
     return PauliOperator(tuple(rng.bits(n)), tuple(rng.bits(n)), 0)
 
 
-def shared_random_bits(trial: TrialState, n: int) -> str:
-    """Pre-agreed fallback string, sampled once into both parties' records."""
+def shared_random_bits(trial: TrialState, n: int) -> np.ndarray:
+    """Pre-agreed fallback bits (uint8), drawn once into both parties' records."""
     key = "fallback_bits"
     if key not in trial.alice:
-        bits = "".join(str(b) for b in trial.rng.bits(n))
+        bits = trial.rng.bits(n)
         trial.alice[key] = bits
         trial.bob[key] = bits
     return trial.alice[key]
+
+
+def with_fallback(trial: TrialState, bits, where) -> np.ndarray:
+    """`bits` as a uint8 array, with the shared fallback bits at `where`.
+
+    The fallback is drawn only when some position needs it, so a trial that
+    never falls back leaves the trial stream untouched.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    where = np.asarray(where, dtype=bool)
+    if not where.any():
+        return bits
+    return np.where(where, shared_random_bits(trial, len(bits)), bits)
 
 
 class CorrectionTranscript:
@@ -356,7 +369,7 @@ def decode_chain_answer(
     bob_sigmas: list,
     measured: tuple[int, ...],
     opening: tuple[np.ndarray, str] | None = None,
-) -> tuple[int, ...]:
+) -> np.ndarray:
     """Replay the chain from the exchanged transcripts and undo the residue."""
     engine = run_chain(
         gates,
@@ -366,4 +379,4 @@ def decode_chain_answer(
         opening=opening,
     )
     residue = engine.decode_pauli()
-    return tuple(int(z) ^ xb for z, xb in zip(measured, residue.x_bits))
+    return np.bitwise_xor(measured, residue.x_bits).astype(np.uint8)

@@ -16,6 +16,10 @@ round trip, and a four-address final bank, with Bob measuring all four
 addresses. Both produce identical records and share one decoder, so
 agreement between them validates the lazy shortcut.
 
+Every strategy decodes to a uint8 bit array. The basis game has no empty
+symbol, so lost positions take the pre-agreed shared bits (`with_fallback`),
+and `protocols.render_answer` spells the answer string.
+
 Reconstruction failures (a residue that is not Pauli, a rotation outside
 the declared hierarchy level) raise; they signal a misconfigured strategy,
 not bad luck, and must not be papered over with a guess.
@@ -29,7 +33,7 @@ from ..costs import layout_cost, tree_cost
 from ..errors import StrategyError, ValidationError
 from ..layout import CircuitLayout
 from ..pauli import PauliOperator, hierarchy_level, try_as_pauli
-from ..protocols import BasisShare, Challenge
+from ..protocols import BasisShare, Challenge, render_answer
 from ..rng import RngStream
 from ..statevec import (
     QubitArray,
@@ -47,19 +51,8 @@ from .base import (
     decode_chain_answer,
     run_chain,
     shared_random_bits,
+    with_fallback,
 )
-
-
-def _bits_string(bits) -> str:
-    return "".join(str(int(b)) for b in bits)
-
-
-def _with_fallback(bits: str, lost, trial: TrialState) -> str:
-    """Replace lost positions with the pre-agreed shared random bits."""
-    if not any(lost):
-        return bits
-    fallback = shared_random_bits(trial, len(bits))
-    return "".join(fallback[q] if lost[q] else bits[q] for q in range(len(bits)))
 
 
 def _pauli_key(p: PauliOperator) -> tuple:
@@ -89,7 +82,7 @@ class PauliAttack(CoalitionStrategy):
         trial = self.base_trial(challenge, delivered, rng)
         states = delivered.states
         if isinstance(states, QubitArray):
-            bits = tuple(int(b) for b in states.measure_all(rng))
+            bits = states.measure_all(rng)
         else:
             bits, _ = measure_computational(states, tuple(range(challenge.n)), rng)
         trial.alice["bits"] = bits
@@ -108,8 +101,8 @@ class PauliAttack(CoalitionStrategy):
         return {"pauli": trial.bob["pauli"]}
 
     def _decode(self, trial, bits, lost, pauli: PauliOperator) -> str:
-        answer = _bits_string(z ^ xb for z, xb in zip(bits, pauli.x_bits))
-        return _with_fallback(answer, lost, trial)
+        answer = np.bitwise_xor(bits, pauli.x_bits)
+        return render_answer(with_fallback(trial, answer, lost))
 
     def finalize_alice(self, trial, bob_message) -> str:
         return self._decode(
@@ -167,7 +160,7 @@ class ChainAttack(CoalitionStrategy):
             bob_sigmas,
             bits,
         )
-        return _with_fallback(_bits_string(answer), lost, trial)
+        return render_answer(with_fallback(trial, answer, lost))
 
     def finalize_alice(self, trial, bob_message) -> str:
         return self._decode(
@@ -443,8 +436,7 @@ class BreidbartAttack(CoalitionStrategy):
         states: QubitArray = delivered.states
         overlaps = np.einsum("jb,qj->qb", BREIDBART_BASIS.conj(), states.amps)
         p1 = np.abs(overlaps[:, 1]) ** 2
-        bits = (rng.random(challenge.n) < p1).astype(int)
-        trial.alice["bits"] = _bits_string(bits)
+        trial.alice["bits"] = (rng.random(challenge.n) < p1).astype(np.uint8)
         trial.alice["lost"] = delivered.lost
         return trial
 
@@ -455,10 +447,12 @@ class BreidbartAttack(CoalitionStrategy):
         return {}
 
     def finalize_alice(self, trial, bob_message) -> str:
-        return _with_fallback(trial.alice["bits"], trial.alice["lost"], trial)
+        a = trial.alice
+        return render_answer(with_fallback(trial, a["bits"], a["lost"]))
 
     def finalize_bob(self, trial, alice_message) -> str:
-        return _with_fallback(alice_message["bits"], alice_message["lost"], trial)
+        m = alice_message
+        return render_answer(with_fallback(trial, m["bits"], m["lost"]))
 
 
 class RandomGuessAttack(CoalitionStrategy):
@@ -481,7 +475,7 @@ class RandomGuessAttack(CoalitionStrategy):
         return {}
 
     def finalize_alice(self, trial, bob_message) -> str:
-        return shared_random_bits(trial, trial.challenge.n)
+        return render_answer(shared_random_bits(trial, trial.challenge.n))
 
     def finalize_bob(self, trial, alice_message) -> str:
-        return shared_random_bits(trial, trial.challenge.n)
+        return render_answer(shared_random_bits(trial, trial.challenge.n))

@@ -20,6 +20,11 @@ lossy variant converts the loss allowance into declared empties on a
 pre-agreed subset, scaling the residual error mass by the answered
 fraction so the winning boundary sits exactly at eta_err + eta_loss/4
 = 1/4.
+
+Every strategy decodes to a uint8 bit array plus a bool mask of the
+positions it declares empty, and `protocols.render_answer` spells the
+answer string; positions with no usable bit (a failed hop, a loss beyond
+the declared budget) take the pre-agreed shared bits (`with_fallback`).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from ..pauli import (
     clifford_conjugation_table,
     try_as_pauli,
 )
-from ..protocols import EMPTY_SYMBOL, Challenge, IpShare, reconstruct_ip_unitary
+from ..protocols import Challenge, IpShare, reconstruct_ip_unitary, render_answer
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
 from ..statevec import (
@@ -55,7 +60,7 @@ from .base import (
     CoalitionStrategy,
     CorrectionTranscript,
     TrialState,
-    shared_random_bits,
+    with_fallback,
 )
 
 
@@ -70,8 +75,8 @@ def _share_factors(share: IpShare, qubit: int) -> np.ndarray:
     return f[:, qubit] if f.ndim == 4 else f
 
 
-def _answer(bits_by_q: dict[int, str], n: int) -> str:
-    return "".join(bits_by_q[q] for q in range(n))
+# a PBT chain's outcome when a hop failed; lost qubits keep it too
+_HOP_FAILED = 2
 
 
 class PbtAttack(CoalitionStrategy):
@@ -104,21 +109,19 @@ class PbtAttack(CoalitionStrategy):
             )
         trial = self.base_trial(challenge, delivered, rng)
         trial.ledger.spend(trial.ledger.reserved)
-        trial.alice["lost"] = delivered.lost
+        lost = np.asarray(delivered.lost, dtype=bool)
+        trial.alice["lost"] = lost
 
-        bits: dict[int, int | None] = {}
-        for q in range(challenge.n):
-            if delivered.lost[q]:
-                bits[q] = None
-                continue
+        bits = np.full(challenge.n, _HOP_FAILED, dtype=np.uint8)
+        for q in np.flatnonzero(~lost):
             bits[q] = self._run_qubit(challenge, delivered.states.qubit(q), q, rng)
         trial.bob["bits"] = bits
         return trial
 
     def _run_qubit(
         self, challenge: Challenge, qubit: StateVector, q: int, rng: RngStream
-    ) -> int | None:
-        """Realized-path chain for one qubit; None when any hop failed."""
+    ) -> int:
+        """Realized-path chain for one qubit; _HOP_FAILED when any hop failed."""
         u = _share_factors(challenge.v0_classical, q)
         v = _share_factors(challenge.v1_classical, q)
         t = u.shape[0]
@@ -132,7 +135,7 @@ class PbtAttack(CoalitionStrategy):
             else:
                 res = pbt_teleport_density(state, channel, rng)
             if res.port is None:
-                return None
+                return _HOP_FAILED
             # hops 0, 2, 4, ... land at Bob (strips v_{h/2+1}); odd at Alice
             factor = v[h // 2] if h % 2 == 0 else u[h // 2 + 1]
             g = factor.conj().T
@@ -147,16 +150,8 @@ class PbtAttack(CoalitionStrategy):
         return {"bits": trial.bob["bits"]}
 
     def _decode(self, trial, bits, lost) -> str:
-        n = trial.challenge.n
-        out = {}
-        for q in range(n):
-            if lost[q]:
-                out[q] = EMPTY_SYMBOL
-            elif bits[q] is None:
-                out[q] = shared_random_bits(trial, n)[q]
-            else:
-                out[q] = str(bits[q])
-        return _answer(out, n)
+        failed = (bits == _HOP_FAILED) & ~lost
+        return render_answer(with_fallback(trial, bits, failed), lost)
 
     def finalize_alice(self, trial, bob_message) -> str:
         return self._decode(trial, bob_message["bits"], trial.alice["lost"])
@@ -305,7 +300,7 @@ class SkAttack(CoalitionStrategy):
                 "compiled strips need a positive error budget to charge against"
             )
         trial = self.base_trial(challenge, delivered, rng)
-        trial.alice["lost"] = delivered.lost
+        trial.alice["lost"] = np.asarray(delivered.lost, dtype=bool)
 
         per_qubit = np.asarray(challenge.v0_classical.factors).ndim == 4
         copies = challenge.n if per_qubit else 1
@@ -325,7 +320,7 @@ class SkAttack(CoalitionStrategy):
 
         alice_sigmas = []
         bob_sigmas = []
-        bits = {}
+        bits = np.zeros(challenge.n, dtype=np.uint8)
         for q in range(challenge.n):
             c = q if per_qubit else 0
             opening = _share_factors(challenge.v0_classical, q)[0].conj().T
@@ -336,7 +331,7 @@ class SkAttack(CoalitionStrategy):
             applied = chain.frame @ words_product[c] @ opening
             psi = applied @ delivered.states.qubit(q).amps
             p1 = float(np.abs(psi[1]) ** 2 / (np.abs(psi) ** 2).sum())
-            bits[q] = int(rng.random() < p1)
+            bits[q] = rng.random() < p1
             alice_sigmas.append(tuple(chain.transcript.alice))
             bob_sigmas.append(tuple(chain.transcript.bob))
         trial.alice["sigmas"] = tuple(alice_sigmas)
@@ -360,17 +355,13 @@ class SkAttack(CoalitionStrategy):
 
     def _decode(self, trial, alice_sigmas, bob_sigmas, u_letters, v_letters,
                 bits, lost) -> str:
-        n = trial.challenge.n
-        out = {}
-        for q in range(n):
-            if lost[q]:
-                out[q] = EMPTY_SYMBOL
-                continue
+        answer = bits.copy()
+        for q in np.flatnonzero(~lost):
             c = q if len(u_letters) > 1 else 0
             chain = _TableChain(alice=alice_sigmas[q], bob=bob_sigmas[q])
             _run_words(chain, u_letters[c], v_letters[c])
-            out[q] = str(bits[q] ^ chain.residue_x())
-        return _answer(out, n)
+            answer[q] ^= chain.residue_x()
+        return render_answer(answer, lost)
 
     def finalize_alice(self, trial, bob_message) -> str:
         return self._decode(
@@ -443,7 +434,7 @@ class RandomBasisAttack(CoalitionStrategy):
         outcomes = (rng.random(n) < p[:, 1] / p.sum(axis=1)).astype(int)
         trial.alice["bases"] = bases
         trial.alice["outcomes"] = outcomes
-        trial.alice["lost"] = delivered.lost
+        trial.alice["lost"] = np.asarray(delivered.lost, dtype=bool)
         trial.alice["u_share"] = challenge.v0_classical
         trial.bob["v_share"] = challenge.v1_classical
         return trial
@@ -474,13 +465,8 @@ class RandomBasisAttack(CoalitionStrategy):
         )
 
     def _decode(self, trial, bases, outcomes, lost, u_share, v_share) -> str:
-        n = trial.challenge.n
-        scores = _guess_scores(bases, outcomes, u_share, v_share, n)
-        guesses = (scores[:, 1] > scores[:, 0]).astype(int)
-        out = {}
-        for q in range(n):
-            out[q] = EMPTY_SYMBOL if lost[q] else str(int(guesses[q]))
-        return _answer(out, n)
+        guess = _guess_bits(bases, outcomes, u_share, v_share, trial.challenge.n)
+        return render_answer(guess, lost)
 
 
 def _unitary_stack(u_share: IpShare, v_share: IpShare, n: int) -> np.ndarray:
@@ -495,11 +481,12 @@ def _unitary_stack(u_share: IpShare, v_share: IpShare, n: int) -> np.ndarray:
     return out
 
 
-def _guess_scores(bases, outcomes, u_share, v_share, n) -> np.ndarray:
-    """scores[q, x] = |<b_q^(m_q)| U_q |x>|^2; rows sum to one."""
+def _guess_bits(bases, outcomes, u_share, v_share, n) -> np.ndarray:
+    """The likelier x per qubit, from scores[q, x] = |<b_q^(m_q)| U_q |x>|^2."""
     stack = _unitary_stack(u_share, v_share, n)
     sel = bases[np.arange(n), :, outcomes]
-    return np.abs(np.einsum("qj,qjx->qx", sel.conj(), stack)) ** 2
+    scores = np.abs(np.einsum("qj,qjx->qx", sel.conj(), stack)) ** 2
+    return (scores[:, 1] > scores[:, 0]).astype(np.uint8)
 
 
 class LossyConfidenceAttack(RandomBasisAttack):
@@ -523,21 +510,21 @@ class LossyConfidenceAttack(RandomBasisAttack):
         self.eta_loss = eta_loss
         self.name = "lossy-confidence"
 
-    def _drop_set(self, trial, lost, budget: int) -> set[int]:
-        """Budgeted empty positions: lost first, then a pre-agreed subset."""
+    def _drop_mask(self, trial, lost, budget: int) -> np.ndarray:
+        """Budgeted empty positions: the first `budget` lost ones, topped up
+        with the not-yet-lost entries of a pre-agreed order."""
         n = trial.challenge.n
         key = "drop_order"
         if key not in trial.alice:
-            order = tuple(int(q) for q in trial.rng.generator.permutation(n))
+            order = trial.rng.generator.permutation(n)
             trial.alice[key] = order
             trial.bob[key] = order
-        drop = {q for q in range(n) if lost[q]}
-        if len(drop) >= budget:
-            return set(sorted(drop)[:budget])
-        for q in trial.alice[key]:
-            if len(drop) >= budget:
-                break
-            drop.add(q)
+        lost_q = np.flatnonzero(lost)
+        order = trial.alice[key]
+        extra = order[~lost[order]][: max(0, budget - len(lost_q))]
+        drop = np.zeros(n, dtype=bool)
+        drop[lost_q[:budget]] = True
+        drop[extra] = True
         return drop
 
     def _decode(self, trial, bases, outcomes, lost, u_share, v_share) -> str:
@@ -546,15 +533,6 @@ class LossyConfidenceAttack(RandomBasisAttack):
         if eta is None:
             eta = trial.challenge.spec.eta_loss
         budget = max(0, math.ceil(eta * n) - 1)
-        scores = _guess_scores(bases, outcomes, u_share, v_share, n)
-        guesses = (scores[:, 1] > scores[:, 0]).astype(int)
-        drop = self._drop_set(trial, lost, budget)
-        out = {}
-        for q in range(n):
-            if q in drop:
-                out[q] = EMPTY_SYMBOL
-            elif lost[q]:
-                out[q] = shared_random_bits(trial, n)[q]
-            else:
-                out[q] = str(int(guesses[q]))
-        return _answer(out, n)
+        guess = _guess_bits(bases, outcomes, u_share, v_share, n)
+        drop = self._drop_mask(trial, lost, budget)
+        return render_answer(with_fallback(trial, guess, lost & ~drop), drop)

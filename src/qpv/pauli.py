@@ -56,9 +56,6 @@ class PauliOperator:
     def num_qubits(self) -> int:
         return len(self.x_bits)
 
-    def is_identity(self) -> bool:
-        return not any(self.x_bits) and not any(self.z_bits) and self.phase == 0
-
     def matrix(self) -> np.ndarray:
         m = np.array([[1.0 + 0j]])
         for xb, zb in zip(self.x_bits, self.z_bits):
@@ -98,17 +95,6 @@ def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         tuple(az ^ bz for az, bz in zip(a.z_bits, b.z_bits)),
         (a.phase + b.phase + 2 * crossings) % 4,
     )
-
-
-def pauli_apply_to_basis(p: PauliOperator, bits: np.ndarray) -> tuple[np.ndarray, complex]:
-    """P|bits> = phase * |bits xor x_bits>."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.shape != (p.num_qubits,):
-        raise ValidationError("basis string length mismatch")
-    flips = np.array(p.x_bits, dtype=np.uint8)
-    sign_bits = int(np.sum(np.array(p.z_bits, dtype=np.uint8) & bits)) & 1
-    phase = (1j**p.phase) * (-1.0 if sign_bits else 1.0)
-    return bits ^ flips, complex(phase)
 
 
 def try_as_pauli(m: np.ndarray, tol: float = ATOL) -> PauliOperator | None:

@@ -25,10 +25,12 @@ families (pauli, clifford, haar, explicit, layout) use full state vectors at
 desk scale n <= 8.
 
 Per-qubit data are numpy arrays: the secret string x is a uint8 bit array and
-the channel's loss mask a bool array. Answers stay strings over "0", "1" and
-the empty symbol "-"; the honest provers render them from their bit arrays in
-one step, and the verifiers read them back as uint8 symbol codes through a
-256-entry lookup table, so no per-qubit Python runs on the honest path.
+the channel's loss mask a bool array. Answers are strings over "0", "1" and
+the empty symbol "-", and this module is the only one that spells them:
+every prover, honest or coalition, decodes to a bit array plus an "empty"
+mask and renders it through `render_answer`. The verifiers read answers back
+as uint8 symbol codes through a 256-entry lookup table, so no per-qubit
+Python runs on the honest path.
 """
 
 from __future__ import annotations
@@ -331,11 +333,11 @@ def _bb84_rotations(letters: tuple[str, ...]) -> np.ndarray:
     return np.stack([H if g == "H" else I2 for g in letters])
 
 
-def _render_answer(bits: np.ndarray, lost: np.ndarray | None = None) -> str:
-    """The answer string of a bit array, with the empty symbol where lost."""
+def render_answer(bits: np.ndarray, empty: np.ndarray | None = None) -> str:
+    """The answer string of a bit array, with the empty symbol where `empty`."""
     codes = bits + ord("0")
-    if lost is not None:
-        codes = np.where(lost, ord(EMPTY_SYMBOL), codes)
+    if empty is not None:
+        codes = np.where(empty, ord(EMPTY_SYMBOL), codes)
     return codes.astype(np.uint8, copy=False).tobytes().decode("ascii")
 
 
@@ -358,7 +360,7 @@ def honest_prover_basis(
     # stream at the same point, as one scalar draw per lost qubit in order
     lost = np.asarray(delivered.lost, dtype=bool)
     bits[lost] = rng.integers(2, size=int(np.count_nonzero(lost)))
-    return _render_answer(bits)
+    return render_answer(bits)
 
 
 def honest_prover_ip(
@@ -383,7 +385,7 @@ def honest_prover_ip(
         u = reconstruct_ip_unitary(challenge.v0_classical, challenge.v1_classical)
         undone = states.apply_same(u.conj().T)
     bits = undone.measure_all(rng)
-    return _render_answer(bits, np.asarray(delivered.lost, dtype=bool))
+    return render_answer(bits, np.asarray(delivered.lost, dtype=bool))
 
 
 def _count_clause(count: int, threshold: float, strict: bool) -> bool:

@@ -121,16 +121,9 @@ class DensityMatrix:
         return self.mat.shape[0].bit_length() - 1
 
     @classmethod
-    def from_pure(cls, state: StateVector) -> "DensityMatrix":
-        return state.density()
-
-    @classmethod
     def maximally_mixed(cls, n: int) -> "DensityMatrix":
         d = 2**n
         return cls(np.eye(d, dtype=np.complex128) / d, check=False)
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        return hermitian_eigendecomposition(self.mat)
 
     def __repr__(self) -> str:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
@@ -250,20 +243,6 @@ def partial_trace(rho, keep) -> DensityMatrix:
     """Trace out every qubit not listed; kept qubits stay in ascending order."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
     return DensityMatrix(partial_trace_matrix(mat, keep), check=False)
-
-
-def sample_eigenstate(rho: DensityMatrix, rng: RngStream) -> StateVector:
-    """Draw a pure state from the eigendecomposition of rho, weighted by eigenvalue.
-
-    Chaining maps through this sampler reproduces every observable of the
-    mixed-state evolution in distribution (an unravelling, not an
-    approximation), which is how multi-hop teleportation keeps inputs pure.
-    """
-    w, v = rho.eigensystem()
-    p = np.clip(w, 0.0, None)
-    p = p / p.sum()
-    idx = int(rng.choice(p.shape[0], p=p))
-    return StateVector(v[:, idx], normalize=True)
 
 
 def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -190,3 +190,38 @@ def test_random_guess_answers_always_agree(rng):
     outcome = RandomGuessAttack().run_trial(challenge, delivered, rng)
     assert outcome.y_alice == outcome.y_bob
     assert outcome.epr_consumed == 0
+
+
+def test_tree_full_engine_spends_the_realized_path():
+    stats = play(tree_spec(gates.T), TreeAttack(3, engine="full"), 200, seed=13)
+    assert stats.win_rate == 1.0
+    assert stats.reserved_epr == 14
+    assert stats.mean_epr_consumed == 3.0
+
+
+def test_tree_attack_handles_gates_below_its_level():
+    stats = play(tree_spec(gates.T, gates.H, np.eye(2)), TreeAttack(3), 300, seed=14)
+    assert stats.win_rate == 1.0
+
+
+def test_tree_attack_depth_four_on_the_pi_over_8_phase_gate():
+    stats = play(tree_spec(gates.phase_gate(4)), TreeAttack(4), 200, seed=15)
+    assert stats.win_rate == 1.0
+    assert stats.reserved_epr == 58
+    # one hop in and two burn round trips
+    assert stats.mean_epr_consumed == 5.0
+
+
+def test_breidbart_error_rate_at_ten_thousand_qubits():
+    stats = play(BasisGameSpec(10**4, "bb84"), BreidbartAttack(), 30, seed=18)
+    assert abs(stats.mean_error_count / 10**4 - np.sin(np.pi / 8) ** 2) < 0.005
+
+
+def test_breidbart_wins_above_its_error_rate():
+    stats = play(BasisGameSpec(10**4, "bb84", 0.16), BreidbartAttack(), 30, seed=20)
+    assert stats.win_rate == 1.0
+
+
+def test_random_guess_error_rate_at_ten_thousand_qubits():
+    stats = play(BasisGameSpec(10**4, "bb84"), RandomGuessAttack(), 30, seed=19)
+    assert abs(stats.mean_error_count / 10**4 - 0.5) < 0.01

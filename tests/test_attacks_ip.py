@@ -182,3 +182,60 @@ def test_strategy_factory_rejects_bad_names():
         strategy_from_name("pbt:8,x")
     with pytest.raises(ValidationError, match="unknown strategy"):
         strategy_from_name("tree:")
+
+
+def test_pbt_attack_three_hops():
+    stats = play(IPGameSpec(2, 2, eta_err=0.5), PbtAttack((8, 8, 8)), 100, seed=12)
+    assert stats.reserved_epr == 2 * (8 + 64 + 512)
+    assert stats.mean_error_count / 2 <= 0.3
+
+
+def test_sk_attack_wins_every_trial(sk2):
+    stats = play(IPGameSpec(4, 1, eta_err=0.1), sk2, 200, seed=13)
+    assert stats.reserved_epr == 4 * 2 ** (4 * sk2.word_cap)
+    assert stats.mean_error_count / 4 <= 0.1
+    assert stats.win_rate == 1.0
+
+
+def test_sk_attack_chains_two_factor_pairs(sk2):
+    stats = play(IPGameSpec(2, 2, eta_err=0.2), sk2, 50, seed=14)
+    assert stats.mean_error_count / 2 <= 0.1
+
+
+def test_random_basis_correct_fraction_at_ten_thousand_qubits():
+    stats = play(IPGameSpec(10**4, 2, eta_err=0.3), RandomBasisAttack(), 3, seed=15)
+    assert abs(1.0 - stats.mean_error_count / 10**4 - 0.75) < 0.015
+
+
+@pytest.mark.parametrize("eta_loss", [0.2, 0.5])
+def test_lossy_confidence_error_fraction_at_ten_thousand_qubits(eta_loss):
+    spec = IPGameSpec(10**4, 2, eta_err=0.3, eta_loss=eta_loss)
+    stats = play(spec, LossyConfidenceAttack(), 3, seed=16)
+    assert abs(stats.mean_error_count / 10**4 - (1 - eta_loss) / 4) < 0.02
+
+
+@pytest.mark.parametrize(
+    "eta_loss, attack",
+    [
+        pytest.param(0.0, RandomBasisAttack(), id="random-basis"),
+        pytest.param(0.2, LossyConfidenceAttack(), id="lossy-confidence"),
+    ],
+)
+@pytest.mark.parametrize("margin", [0.03, -0.03], ids=["above", "below"])
+def test_non_entangled_threshold_sits_at_a_quarter(eta_loss, attack, margin):
+    # eta_err + eta_loss / 4 = 1/4 separates winning from losing
+    eta_err = 0.25 + margin - eta_loss / 4
+    spec = IPGameSpec(10**4, 2, eta_err=eta_err, eta_loss=eta_loss)
+    stats = play(spec, attack, 20, seed=17)
+    if margin > 0:
+        assert stats.win_rate >= 0.95
+    else:
+        assert stats.win_rate <= 0.05
+
+
+def test_lossy_confidence_wins_under_channel_loss_at_ten_thousand_qubits():
+    spec = IPGameSpec(10**4, 1, eta_err=0.3, eta_loss=0.2)
+    stats = run_game(
+        spec, LossyConfidenceAttack(), ChannelModel(p_loss=0.1), 3, RngStream(18, 0)
+    )
+    assert stats.win_rate == 1.0

@@ -169,17 +169,94 @@ seed = 11
 """
 
 
+def _config(**keys) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+def _basis(actor, family, n, p_loss, trials, **keys):
+    return _config(
+        game="basis", family=family, n=n, actor=actor, p_loss=p_loss,
+        trials=trials, seed=3, **keys,
+    )
+
+
+def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials):
+    return _config(
+        game="ip", n=n, t=t, actor=actor, eta_err=eta_err, eta_loss=eta_loss,
+        p_loss=p_loss, trials=trials, seed=3,
+    )
+
+
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (FROZEN_HONEST_IP, "fcd1e4d3ed48aa8afab5dc8adb159ddc3f291b2bff97e1d6e217d33cded95e74"),
-        (FROZEN_HONEST_BASIS, "3535a79cbdebaa819ffb820ec472e730b8e922ce21247bf8b22effac7a59d191"),
+        pytest.param(
+            FROZEN_HONEST_IP,
+            "fcd1e4d3ed48aa8afab5dc8adb159ddc3f291b2bff97e1d6e217d33cded95e74",
+            id="honest-ip",
+        ),
+        pytest.param(
+            FROZEN_HONEST_BASIS,
+            "3535a79cbdebaa819ffb820ec472e730b8e922ce21247bf8b22effac7a59d191",
+            id="honest-bb84",
+        ),
+        pytest.param(
+            _basis("pauli", "pauli", 3, 0.3, 40),
+            "a3890ce6d6cbbd2f4c7fa2769ef2481128294f85356ebe7a7fb68d46f3c8e4b3",
+            id="pauli",
+        ),
+        pytest.param(
+            _basis("clifford", "clifford", 2, 0.3, 40),
+            "6c45e09fe74eedfd238a56d328f305a6b9773759cd42d644e1869ee29e1affb0",
+            id="clifford",
+        ),
+        pytest.param(
+            _basis("tree:3", "clifford", 1, 0.3, 40),
+            "6513072123af437c0d33b96fbc486e8bf2f3860cded583641237be09385e956b",
+            id="tree-3",
+        ),
+        pytest.param(
+            _basis("breidbart", "bb84", 500, 0.1, 10, eta=0.16),
+            "5436c8173bb8db261787aa18f75432c56fb7a0e2f7723895196b4c0503aad5db",
+            id="breidbart",
+        ),
+        pytest.param(
+            _basis("random-guess", "bb84", 500, 0.1, 10),
+            "f57c64718d1380b3d0a41bf6fad1f074e69f08d62a1960c2df0f32511ce92bc2",
+            id="random-guess",
+        ),
+        pytest.param(
+            _ip("pbt:3", 6, 1, 0.4, 0.5, 0.2, 60),
+            "833f8298cc73f0b847ad05ee11df9b70b59891eaec896126b8c26f7d53d0c716",
+            id="pbt-3",
+        ),
+        pytest.param(
+            _ip("sk:1", 4, 1, 0.2, 0.5, 0.2, 10),
+            "821a8a65a28dd4924241322ef724f390bccee65588db3911e4b5a1645bb58b04",
+            id="sk-1",
+        ),
+        pytest.param(
+            _ip("random-basis", 500, 2, 0.3, 0.2, 0.1, 10),
+            "a50262465aa377be04df7ce8b0afcc59651ef10a95252e34465a2bddc5549286",
+            id="random-basis",
+        ),
+        pytest.param(
+            _ip("lossy-confidence", 500, 2, 0.3, 0.2, 0.1, 10),
+            "126d3508119f85e46e96651729e8c61e35d1b4c4e07acc47a855c843d1ecda2d",
+            id="lossy-confidence",
+        ),
+        pytest.param(
+            # losses exceed the declared budget, so the shared fallback fires
+            _ip("lossy-confidence", 500, 2, 0.3, 0.05, 0.2, 10),
+            "b76bb2f2403f986230244a52d0ebeef7f807df22c459a1c756489bcd22255c59",
+            id="lossy-confidence-over-budget",
+        ),
     ],
-    ids=["honest-ip", "honest-bb84"],
 )
 def test_records_match_their_frozen_digests(text, digest):
-    # A change to any random draw of the honest games changes these records.
-    # Such a change bumps ARTIFACT_VERSION and re-derives both digests.
+    # A change to any random draw of the honest games or of a strategy, or to
+    # how a strategy decodes its answers, changes these records. Such a
+    # change bumps ARTIFACT_VERSION and re-derives every digest.
     record = strip_wall_clock(run_experiment(parse_config(text)).record)
     assert record["artifact_version"] == 1
     assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == digest
