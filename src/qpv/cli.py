@@ -45,7 +45,7 @@ from .gates import GATES
 from .layout import load_layout
 from .rng import RngStream
 from .sk import build_net, sk_decompose, su2_distance, to_su2
-from .teleport import pbt_fidelity_curve
+from .teleport import build_pbt_channel, pbt_fidelity_curve
 
 
 class UsageError(QpvError):
@@ -325,6 +325,7 @@ def _cmd_pbt_bench(args) -> int:
         "trials": args.trials,
         "seed": args.seed,
         "metrics": {"fidelity": {"mean": mean, "stderr": stderr}},
+        "fidelity_exact": build_pbt_channel(ports).average_fidelity,
         "fidelity_bound": pbt_fidelity_bound([ports]).value,
         "wall_clock_seconds": round(time.perf_counter() - start, 6),
     }

@@ -245,26 +245,6 @@ def partial_trace(rho, keep) -> DensityMatrix:
     return DensityMatrix(partial_trace_matrix(mat, keep), check=False)
 
 
-def hermitian_eigendecomposition(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvector columns of a Hermitian matrix."""
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValidationError("matrix must be square")
-    if np.max(np.abs(h - h.conj().T)) > 1e-9:
-        raise ValidationError("matrix is not Hermitian within 1e-9")
-    w, v = np.linalg.eigh(h)
-    return w, v
-
-
-def psd_inverse_sqrt(m: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
-    """M^(-1/2) on the support {eigenvalue > cutoff}, zero on the kernel."""
-    w, v = hermitian_eigendecomposition(m)
-    if float(w.min()) < -1e-9:
-        raise ValidationError("matrix is not positive semidefinite")
-    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
-    return (v * inv) @ v.conj().T
-
-
 def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     """min over phases of the spectral norm ||U - e^{i phi} V||.
 

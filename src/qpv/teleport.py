@@ -6,15 +6,18 @@ pre-rotates the resource by a third-level gate U, so the receiver holds
 U R |psi| = R' U |psi| with R' one hierarchy level below U; undoing R' yields
 U|psi| without ever running U on the live state.
 
-Port-based teleportation implements the square-root measurement over N Bell
-pairs ("ports"). POVM elements live on the N+1 qubits Alice measures. Because
-the resource is fixed, the outcome probabilities and the receiver qubit are
-exact bilinear functions of the 2-dimensional input; both kernels are
-precomputed at build time, so per-use cost does not grow with N.
+Port-based teleportation uses the square-root measurement over N Bell pairs
+("ports"). For a qubit that channel is known in closed form (Ishizaka &
+Hiroshima, PRL 101, 240501, 2008; Beigi & Koenig, NJP 13, 093036, 2011):
+the completion outcome fires with probability q_N = (N+2)/2^(N+1) whatever
+the input, each port with (1-q_N)/N, and the receiver at the fired port
+holds the input depolarized, p_N rho + (1-p_N) I/2. So a channel is two
+constants, and one use is one outcome draw and a 2x2 mixture at any N.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +32,10 @@ from .statevec import (
     apply_unitary,
     bell_measurement,
     bell_pair,
-    embed_operator,
     fidelity,
     haar_random_state,
     measure_computational,
     move_qubit,
-    partial_trace_matrix,
-    psd_inverse_sqrt,
 )
 
 
@@ -129,117 +129,88 @@ def teleport_gate(state: StateVector, u: np.ndarray, rng: RngStream) -> GateTele
     return GateTeleportResult(out, correction, shifted, n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PbtChannel:
-    """Square-root-measurement port teleportation with precomputed kernels.
+    """Square-root-measurement port teleportation of one qubit, in closed form.
 
-    povm_elements holds the N port elements then the completion element,
-    each on the N+1 measured qubits (input first, then the sender halves).
-    prob_kernels[k] is the 2x2 bilinear form giving outcome probabilities:
-    p_k = psi^dag K_k psi / 2^N. recv_kernels[i] gives the unnormalized
-    receiver matrix for port i by the analogous contraction.
+    completion_probability is q_N = (N+2)/2^(N+1); each port then fires with
+    probability (1-q_N)/N, whatever the input. depolarizing is p_N: the
+    receiver at the fired port holds p_N rho + (1-p_N) I/2 (Ishizaka &
+    Hiroshima, PRL 101, 240501, 2008). outcome_probs lists the N ports,
+    then the completion outcome.
     """
 
     num_ports: int
-    povm_elements: list
-    prob_kernels: np.ndarray
-    recv_kernels: np.ndarray
+    completion_probability: float
+    depolarizing: float
+    outcome_probs: tuple[float, ...]
+
+    @property
+    def average_fidelity(self) -> float:
+        """Average fidelity over pure inputs, completion outcomes included."""
+        q, p = self.completion_probability, self.depolarizing
+        return (1.0 - q) * (1.0 + p) / 2.0 + q / 2.0
 
 
 def build_pbt_channel(num_ports: int) -> PbtChannel:
+    """q_N and p_N from the Ishizaka-Hiroshima sum over the spin-k blocks.
+
+    The success part (1-q_N)(1+3p_N)/4 equals s_N = 2^-(N+3) sum_k C(N,k)
+    [(N-2k-1)/sqrt(k+1) + (N-2k+1)/sqrt(N-k+1)]^2; the binomial weights are
+    taken in log space, so any N is finite.
+    """
     n = int(num_ports)
-    if n < 2 or n > 8:
-        raise ValidationError("port count must be between 2 and 8")
-    dim = 2 ** (n + 1)
-    phi = bell_pair().amps
-    bell_proj = np.outer(phi, phi.conj())
-    sigmas = [embed_operator(bell_proj, [0, 1 + i], n + 1) for i in range(n)]
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for s in sigmas:
-        total += s
-    root = psd_inverse_sqrt(total)
-    elements = [root @ s @ root for s in sigmas]
-    completion = np.eye(dim, dtype=np.complex128)
-    for e in elements:
-        completion -= e
-    elements.append(completion)
-
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for idx, e in enumerate(elements):
-        e = (e + e.conj().T) / 2.0
-        elements[idx] = e
-        low = float(np.linalg.eigvalsh(e).min())
-        if low < -1e-9:
-            raise ValidationError(f"POVM element {idx} has negative eigenvalue {low}")
-        acc += e
-    if np.max(np.abs(acc - np.eye(dim))) > 1e-8:
-        raise ValidationError("POVM does not sum to identity")
-
-    prob_kernels = np.stack([partial_trace_matrix(e, [0]) for e in elements])
-    recv_kernels = np.stack(
-        [partial_trace_matrix(elements[i], [0, 1 + i]).reshape(2, 2, 2, 2) for i in range(n)]
+    if n < 2:
+        raise ValidationError("port count must be at least 2")
+    q = math.ldexp(n + 2, -(n + 1))
+    log_scale = math.lgamma(n + 1) - (n + 3) * math.log(2.0)
+    s = math.fsum(
+        math.exp(log_scale - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+        * ((n - 2 * k - 1) / math.sqrt(k + 1) + (n - 2 * k + 1) / math.sqrt(n - k + 1)) ** 2
+        for k in range(n + 1)
     )
-    return PbtChannel(n, elements, prob_kernels, recv_kernels)
+    p = (4.0 * s / (1.0 - q) - 1.0) / 3.0
+    return PbtChannel(n, q, p, ((1.0 - q) / n,) * n + (q,))
 
 
 @dataclass(frozen=True, eq=False)
 class PbtResult:
     """port is None when the completion outcome fired; the receiver is then
-    maximally mixed, so measuring it in any basis is a fair coin."""
+    maximally mixed, so measuring it in any basis is a fair coin. Otherwise
+    the receiver is the input depolarized by the channel's p_N."""
 
     port: int | None
     receiver: DensityMatrix
     epr_consumed: int
 
 
+_HALF_IDENTITY = np.eye(2, dtype=np.complex128) / 2.0
+
+
+def _pbt_hop(rho: np.ndarray, channel: PbtChannel, rng: RngStream) -> PbtResult:
+    """One port-teleportation use: draw the outcome, depolarize on success."""
+    n = channel.num_ports
+    port = int(rng.choice(n + 1, p=channel.outcome_probs))
+    if port == n:
+        return PbtResult(None, DensityMatrix.maximally_mixed(1), n)
+    p = channel.depolarizing
+    return PbtResult(port, DensityMatrix(p * rho + (1.0 - p) * _HALF_IDENTITY), n)
+
+
 def pbt_teleport(qubit: StateVector, channel: PbtChannel, rng: RngStream) -> PbtResult:
-    """One port-teleportation use: sample the POVM, return Bob's port qubit."""
+    """Port-teleport a pure qubit; Bob's port qubit comes back as a density matrix."""
     if qubit.num_qubits != 1:
         raise ValidationError("port teleportation sends one qubit at a time")
-    psi = qubit.amps
-    n = channel.num_ports
-    scale = float(2**n)
-    raw = np.einsum("c,kcd,d->k", psi.conj(), channel.prob_kernels, psi).real / scale
-    probs = np.clip(raw, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValidationError("POVM probabilities do not sum to 1")
-    probs = probs / total
-    idx = int(rng.choice(n + 1, p=probs))
-    if idx == n:
-        return PbtResult(None, DensityMatrix.maximally_mixed(1), n)
-    mat = np.einsum("x,y,xuyv->vu", psi.conj(), psi, channel.recv_kernels[idx])
-    mat = (mat + mat.conj().T) / 2.0
-    mat = mat / np.trace(mat).real
-    return PbtResult(idx, DensityMatrix(mat), n)
+    return _pbt_hop(np.outer(qubit.amps, qubit.amps.conj()), channel, rng)
 
 
 def pbt_teleport_density(
     rho: DensityMatrix, channel: PbtChannel, rng: RngStream
 ) -> PbtResult:
-    """Port teleportation of a mixed qubit (chained hops receive one).
-
-    Same kernels as the pure case: probabilities are Tr(K_k rho) / 2^N and
-    the receiver matrix is the bilinear contraction with rho in place of
-    the pure-state dyad.
-    """
+    """Port-teleport a mixed qubit (chained hops receive one)."""
     if rho.num_qubits != 1:
         raise ValidationError("port teleportation sends one qubit at a time")
-    n = channel.num_ports
-    scale = float(2**n)
-    raw = np.einsum("kcd,dc->k", channel.prob_kernels, rho.mat).real / scale
-    probs = np.clip(raw, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-6:
-        raise ValidationError("POVM probabilities do not sum to 1")
-    probs = probs / total
-    idx = int(rng.choice(n + 1, p=probs))
-    if idx == n:
-        return PbtResult(None, DensityMatrix.maximally_mixed(1), n)
-    mat = np.einsum("yx,xuyv->vu", rho.mat, channel.recv_kernels[idx])
-    mat = (mat + mat.conj().T) / 2.0
-    mat = mat / np.trace(mat).real
-    return PbtResult(idx, DensityMatrix(mat), n)
+    return _pbt_hop(rho.mat, channel, rng)
 
 
 def pbt_fidelity_curve(port_counts, trials: int, rng: RngStream) -> list[tuple[int, float, float]]:

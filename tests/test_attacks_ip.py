@@ -27,6 +27,7 @@ from qpv.protocols import (
     run_game,
 )
 from qpv.rng import RngStream
+from qpv.teleport import build_pbt_channel
 
 CLEAN = ChannelModel()
 
@@ -188,6 +189,33 @@ def test_pbt_attack_three_hops():
     stats = play(IPGameSpec(2, 2, eta_err=0.5), PbtAttack((8, 8, 8)), 100, seed=12)
     assert stats.reserved_epr == 2 * (8 + 64 + 512)
     assert stats.mean_error_count / 2 <= 0.3
+
+
+def _pbt_error_rate(ports) -> float:
+    """Per-qubit error of the PBT attack on a clean channel."""
+    channels = [build_pbt_channel(m) for m in ports]
+    return 0.5 - 0.5 * math.prod((1 - c.completion_probability) * c.depolarizing for c in channels)
+
+
+def test_pbt_attack_error_rate_is_exact():
+    assert abs(_pbt_error_rate((8, 8, 8)) - 0.16521) < 5e-6
+    n = 4
+    for ports, t, trials, seed in (((8,), 1, 2000, 31), ((8, 8, 8), 2, 1000, 32)):
+        e = _pbt_error_rate(ports)
+        stats = play(IPGameSpec(n, t, eta_err=0.5), PbtAttack(ports), trials, seed=seed)
+        # each qubit is wrong independently, so the count is Binomial(n, e)
+        stderr = math.sqrt(n * e * (1 - e) / trials)
+        assert abs(stats.mean_error_count - n * e) < 4 * stderr
+
+
+def test_sk_attack_undoes_an_x_type_residue():
+    # depth-0 words are short enough that the replayed chain often ends on
+    # an X-type Pauli, whose bit the decode must flip back; every word lands
+    # within the 0.25 budget, so a qubit is wrong with probability <= 0.0625
+    n, trials = 4, 100
+    stats = play(IPGameSpec(n, 1, eta_err=0.5), SkAttack(0), trials, seed=33)
+    bound = 0.25**2
+    assert stats.mean_error_count / n < bound + 4 * math.sqrt(bound * (1 - bound) / (n * trials))
 
 
 def test_sk_attack_wins_every_trial(sk2):

@@ -43,6 +43,18 @@ def test_run_rejects_an_unknown_key_with_one_error_line(tmp_path, capsys):
     assert "unknown key 'colour'" in lines[0]
 
 
+def test_run_rejects_a_one_port_hop_with_one_error_line(tmp_path, capsys):
+    config = tmp_path / "pbt.cfg"
+    config.write_text(TINY_RUN.replace("actor = honest", "actor = pbt:1"))
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert "port count must be at least 2" in lines[0]
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1
     lines = error_lines(capsys.readouterr().err)
@@ -63,7 +75,7 @@ def test_compare_exits_three_on_a_failing_bound(tmp_path, capsys):
     assert lines[0].startswith("error=BoundCheckError:")
 
 
-@pytest.mark.parametrize("ports, bound", [(3, 0.0), (4, 0.0), (8, 0.5)])
+@pytest.mark.parametrize("ports, bound", [(3, 0.0), (4, 0.0), (8, 0.5), (16, 0.75)])
 def test_pbt_bench_reports_the_fidelity_bound(ports, bound, capsys):
     assert main(["pbt-bench", "--ports", str(ports), "--trials", "2"]) == 0
     record = json.loads(capsys.readouterr().out)
@@ -71,9 +83,21 @@ def test_pbt_bench_reports_the_fidelity_bound(ports, bound, capsys):
     assert record["fidelity_bound"] == max(0.0, 1.0 - 4.0 / ports)
 
 
+@pytest.mark.parametrize("ports", [2, 4, 8])
+def test_pbt_bench_mean_agrees_with_the_exact_fidelity(ports, capsys):
+    assert main(["pbt-bench", "--ports", str(ports), "--trials", "400", "--seed", "77"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    fid = record["metrics"]["fidelity"]
+    assert abs(fid["mean"] - record["fidelity_exact"]) < 4 * fid["stderr"]
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--trials", "0", "trials must be at least 1"), ("--seed", "-1", "seed must be non-negative")],
+    [
+        ("--trials", "0", "trials must be at least 1"),
+        ("--seed", "-1", "seed must be non-negative"),
+        ("--ports", "1", "port count must be at least 2"),
+    ],
 )
 def test_pbt_bench_rejects_a_bad_argument_with_one_error_line(flag, value, message, capsys):
     assert main(["pbt-bench", "--ports", "4", flag, value]) == 2

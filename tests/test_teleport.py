@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 
 from qpv import gates
+from qpv.costs import pbt_fidelity_bound
 from qpv.errors import ValidationError
 from qpv.pauli import try_as_pauli
 from qpv.rng import RngStream
-from qpv.statevec import StateVector, apply_unitary, fidelity, haar_random_state
+from qpv.statevec import (
+    apply_unitary,
+    bell_pair,
+    embed_operator,
+    fidelity,
+    haar_random_state,
+    partial_trace_matrix,
+)
 from qpv.teleport import (
     build_pbt_channel,
     pbt_fidelity_curve,
@@ -77,22 +85,87 @@ def test_gate_teleport_rejects_levels_above_three():
         teleport_gate(psi, phase_gate(4), rng)  # pi/8 phase sits at level 4
 
 
-def test_pbt_channel_structure():
-    ch = build_pbt_channel(4)
-    assert ch.num_ports == 4
-    assert len(ch.povm_elements) == 5  # ports plus completion
-    total = sum(ch.povm_elements)
-    assert np.allclose(total, np.eye(total.shape[0]), atol=1e-8)
-    for elem in ch.povm_elements:
-        w = np.linalg.eigvalsh(elem)
-        assert float(w.min()) > -1e-9
+def _psd_inverse_sqrt(m: np.ndarray, cutoff: float = 1e-12) -> np.ndarray:
+    """M^(-1/2) on the support {eigenvalue > cutoff}, zero on the kernel."""
+    w, v = np.linalg.eigh(m)
+    assert float(w.min()) > -1e-9
+    inv = np.where(w > cutoff, 1.0 / np.sqrt(np.clip(w, cutoff, None)), 0.0)
+    return (v * inv) @ v.conj().T
+
+
+def _matrix_pbt_oracle(n: int):
+    """The square-root-measurement POVM on the N+1 measured qubits (input
+    first, then the sender halves), reduced to 2x2 kernels: outcome k fires
+    with probability Tr(prob[k] rho) / 2^N, and port i leaves the receiver
+    with einsum("yx,xuyv->vu", rho, recv[i]) / 2^N (unnormalized)."""
+    dim = 2 ** (n + 1)
+    phi = bell_pair().amps
+    bell_proj = np.outer(phi, phi.conj())
+    sigmas = [embed_operator(bell_proj, [0, 1 + i], n + 1) for i in range(n)]
+    root = _psd_inverse_sqrt(sum(sigmas))
+    elements = [root @ s @ root for s in sigmas]
+    elements.append(np.eye(dim) - sum(elements))
+    for e in elements:
+        assert np.max(np.abs(e - e.conj().T)) < 1e-12
+        assert float(np.linalg.eigvalsh(e).min()) > -1e-9
+    assert np.max(np.abs(sum(elements) - np.eye(dim))) < 1e-12
+    prob = np.stack([partial_trace_matrix(e, [0]) for e in elements])
+    recv = np.stack(
+        [partial_trace_matrix(elements[i], [0, 1 + i]).reshape(2, 2, 2, 2) for i in range(n)]
+    )
+    return prob, recv
+
+
+@pytest.mark.parametrize("ports", range(2, 9))
+def test_pbt_constants_match_the_matrix_oracle(ports):
+    ch = build_pbt_channel(ports)
+    prob, recv = _matrix_pbt_oracle(ports)
+    scale = 2.0**ports
+    # no outcome probability depends on the input: every kernel is c * I
+    for k, kernel in enumerate(prob):
+        assert np.max(np.abs(kernel / scale - ch.outcome_probs[k] * np.eye(2))) < 1e-12
+    assert abs(prob[ports][0, 0].real / scale - ch.completion_probability) < 1e-12
+    assert abs(ch.completion_probability - (ports + 2) / 2 ** (ports + 1)) < 1e-15
+    # every port's receiver is the depolarized input, checked on a basis of
+    # 2x2 matrices so the whole linear map is pinned
+    p = ch.depolarizing
+    for i in range(ports):
+        for a in range(2):
+            for b in range(2):
+                rho = np.zeros((2, 2), dtype=np.complex128)
+                rho[a, b] = 1.0
+                out = np.einsum("yx,xuyv->vu", rho, recv[i]) / scale
+                want = ch.outcome_probs[i] * (p * rho + (1 - p) * np.trace(rho) * np.eye(2) / 2)
+                assert np.max(np.abs(out - want)) < 1e-12
+    port0 = np.einsum("yx,xuyv->vu", np.diag([1.0, 0.0]), recv[0])
+    assert abs((port0[0, 0] - port0[1, 1]).real / np.trace(port0).real - p) < 1e-12
+
+
+def test_pbt_constants_in_closed_form():
+    assert build_pbt_channel(2).depolarizing == pytest.approx((1 + np.sqrt(3)) / 3, abs=1e-15)
+    assert build_pbt_channel(3).depolarizing == pytest.approx(29 / 33, abs=1e-15)
 
 
 def test_pbt_channel_rejects_bad_port_counts():
     with pytest.raises(ValidationError):
         build_pbt_channel(1)
-    with pytest.raises(ValidationError):
-        build_pbt_channel(9)
+
+
+def test_pbt_channel_at_large_port_counts():
+    fidelities = [build_pbt_channel(m).average_fidelity for m in range(2, 9)]
+    for m in (9, 16, 64, 1000):
+        ch = build_pbt_channel(m)
+        assert 0.0 < ch.depolarizing < 1.0
+        assert ch.completion_probability >= 0.0
+        assert abs(sum(ch.outcome_probs) - 1.0) < 1e-12
+        fidelities.append(ch.average_fidelity)
+    assert all(a < b for a, b in zip(fidelities, fidelities[1:]))
+    assert 1.0 - fidelities[-1] < 1e-3
+
+
+def test_pbt_exact_fidelity_clears_the_product_bound():
+    for m in range(2, 65):
+        assert build_pbt_channel(m).average_fidelity >= pbt_fidelity_bound([m]).value
 
 
 # frozen single-hop means, 1000 Haar trials at seed 77 (tolerance is the
