@@ -20,7 +20,6 @@ from .base import (
     decode_chain_answer,
     run_chain,
     shared_random_bits,
-    uniform_pauli,
 )
 from .basis import (
     BREIDBART_BASIS,
@@ -63,7 +62,6 @@ __all__ = [
     "run_chain",
     "shared_random_bits",
     "strategy_from_name",
-    "uniform_pauli",
 ]
 
 _STRATEGY_NAMES = (

@@ -17,17 +17,20 @@ round-1 message depends on the partner's message, which is the whole
 one-round constraint.
 
 The chain engine below drives the teleportation attacks. It tracks the
-register state together with an outer operator O satisfying
+outer operator O and the ideal inverse W that the strips accumulate, both
+register-wide, so that
 
-    product of all operators applied so far = O * W,
+    product of all operators applied so far = O * W.
 
-where W is the ideal inverse accumulated by the strips. Stripping a gate G
-conjugates O; if the result leaves the Pauli group, burn rounds (teleport to
-the partner, teleport back, apply the correction-indexed candidate) lower it
-one hierarchy level per burn until it is Pauli again. The realized branch is
-the only one simulated; unselected teleportation channels hold maximally
-mixed halves whose measurement records are plain uniform bits, and the
-ledger still charges every branch through its reserved count.
+Stripping a gate G conjugates O; if the result leaves the Pauli group, burn
+rounds (teleport to the partner, teleport back, apply the correction-indexed
+candidate) lower it one hierarchy level per burn until it is Pauli again. A
+teleport leaves a uniform Pauli correction on the sent qubits whatever the
+register holds (Gottesman & Chuang, Nature 402, 390, 1999), so a live hop
+only draws it, and the payload is evolved once, by O * W, when measured. The
+realized branch is the only one simulated; unselected teleportation channels
+hold maximally mixed halves whose measurement records are plain uniform
+bits, and the ledger still charges every branch through its reserved count.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from ..errors import BoundCheckError, StrategyError
 from ..pauli import PauliOperator, hierarchy_level, try_as_pauli
 from ..protocols import Challenge, DeliveredPayload, TrialOutcome
 from ..rng import RngStream
-from ..statevec import (
-    StateVector,
-    apply_unitary,
-    embed_operator,
-    measure_computational,
-)
-from ..teleport import teleport_register
+from ..statevec import StateVector, apply_unitary, measure_computational
 
 ALICE = "A"
 BOB = "B"
@@ -144,11 +141,6 @@ class CoalitionStrategy(ABC):
         return TrialOutcome(y_alice, y_bob, ledger.consumed, ledger.reserved)
 
 
-def uniform_pauli(n: int, rng: RngStream) -> PauliOperator:
-    """Bell-measurement corrections are uniform over the Pauli strings."""
-    return PauliOperator(tuple(rng.bits(n)), tuple(rng.bits(n)), 0)
-
-
 def shared_random_bits(trial: TrialState, n: int) -> np.ndarray:
     """Pre-agreed fallback bits (uint8), drawn once into both parties' records."""
     key = "fallback_bits"
@@ -200,9 +192,10 @@ class CorrectionTranscript:
 
 @dataclass(frozen=True)
 class ChainGate:
-    """One strip target: `matrix` on `targets`, owned by one party, with the
-    burn budget implied by its hierarchy level. When `level_checks` is set,
-    the j-th burn verifies its candidate operator sits within the j-th listed
+    """One strip target: the register-wide `matrix` of a gate on `targets`,
+    which each burn teleports, owned by one party, with the burn budget
+    implied by its hierarchy level. When `level_checks` is set, the j-th
+    burn verifies its candidate operator sits within the j-th listed
     hierarchy level (a per-round correctness check, live runs only)."""
 
     matrix: np.ndarray
@@ -213,15 +206,20 @@ class ChainGate:
     level_checks: tuple[int, ...] = ()
 
 
+# a Bell measurement's four outcomes are equally likely whatever it measures
+_BELL_OUTCOME = (0.25,) * 4
+
+
 class ChainEngine:
     """Realized-path simulator/replayer for teleportation-chain attacks.
 
-    Live mode (state given): teleports run on the actual register through
-    fresh Bell pairs, corrections are recorded in the transcript, and the
-    ledger is charged. Replay mode (state None): corrections are read back
-    from the given transcripts and nothing is measured; both parties decode
-    by replaying the identical deterministic control flow after the
-    exchange.
+    Live and replay runs share one control flow and differ only in where a
+    hop's correction comes from. Live mode (state given) draws each
+    correction as a Bell measurement of the sent qubit would, records it in
+    the transcript and charges the ledger; the payload stays as delivered
+    until measure() evolves it once by O W. Replay mode (state None) reads
+    the corrections back from the given transcripts, so both parties decode
+    by replaying the identical control flow after the exchange.
     """
 
     def __init__(
@@ -240,27 +238,29 @@ class ChainEngine:
         self.ledger = ledger
         self.live = state is not None
         self.outer = np.eye(2**n, dtype=np.complex128)
+        self.inverse = np.eye(2**n, dtype=np.complex128)
         self.holder = ALICE
         self.transcript = CorrectionTranscript(alice_sigmas, bob_sigmas)
-        self.burn_candidates: list[np.ndarray] = []
 
-    def _hop(self, targets: tuple[int, ...]) -> PauliOperator:
-        """One teleportation hop of the target qubits to the other party."""
+    def _hop(self, targets: tuple[int, ...]):
+        """One teleportation hop of the target qubits to the other party.
+
+        Live, the Bell measurement of each target, in target order, has
+        outcome k and leaves X^(k & 1) Z^(k >> 1) on it."""
         sender = self.holder
         if self.live:
-            sigma, post, used = teleport_register(self.state, targets, self.rng)
-            self.state = post
-            self.ledger.spend(used)
+            x = [0] * self.n
+            z = [0] * self.n
+            for q in targets:
+                k = int(self.rng.choice(4, p=_BELL_OUTCOME))
+                x[q], z[q] = k & 1, k >> 1
+            sigma = PauliOperator(x, z, 0)
+            self.ledger.spend(len(targets))
             self.transcript.record(sender, sigma)
         else:
             sigma = self.transcript.replay(sender)
         self.outer = sigma.matrix() @ self.outer
         self.holder = BOB if sender == ALICE else ALICE
-        return sigma
-
-    def _apply(self, op: np.ndarray):
-        if self.live:
-            self.state = apply_unitary(self.state, op, tuple(range(self.n)))
 
     def move_to(self, party: str):
         """Hand the whole register to `party` (a plain teleport, no gate)."""
@@ -279,10 +279,8 @@ class ChainEngine:
         """
         self.move_to(gate.owner)
         g = gate.matrix
-        if len(gate.targets) != self.n:
-            g = embed_operator(g, gate.targets, self.n)
-        self._apply(g.conj().T)
         self.outer = g.conj().T @ self.outer @ g
+        self.inverse = g.conj().T @ self.inverse
         for burns in range(gate.max_burns):
             check = gate.level_checks[burns] if burns < len(gate.level_checks) else None
             self._burn(gate.targets, check)
@@ -296,19 +294,18 @@ class ChainEngine:
         """Holder applies a unitary it knows exactly; the outer operator must
         stay Pauli (used for the chain's opening word, where holder = owner)."""
         self.move_to(party)
-        self._apply(op)
         self.outer = op @ self.outer @ op.conj().T
+        self.inverse = op @ self.inverse
         if try_as_pauli(self.outer) is None:
             raise StrategyError("exact strip left a non-Pauli outer operator")
 
     def _burn(self, targets: tuple[int, ...], level_check: int | None = None):
-        o_pre = self.outer
-        s1 = self._hop(targets)
-        candidate = s1.matrix() @ o_pre
         self._hop(targets)
-        self._apply(candidate.conj().T)
+        # candidate = sigma1 @ o_pre; the owner covers every possible value
+        # through the address-indexed bank, so acting with it is legitimate
+        candidate = self.outer
+        self._hop(targets)
         self.outer = candidate.conj().T @ self.outer
-        self.burn_candidates.append(candidate)
         if self.live and level_check is not None:
             level = hierarchy_level(candidate, k_max=level_check)
             if level.level is None:
@@ -317,12 +314,13 @@ class ChainEngine:
                 )
 
     def measure(self) -> tuple[int, ...]:
+        """Evolve the payload by O W and measure every qubit; `state` then
+        holds the register just before the measurement."""
         if not self.live:
             raise StrategyError("replay engines cannot measure")
-        bits, post = measure_computational(
-            self.state, tuple(range(self.n)), self.rng
-        )
-        self.state = post
+        qubits = tuple(range(self.n))
+        self.state = apply_unitary(self.state, self.outer @ self.inverse, qubits)
+        bits, _ = measure_computational(self.state, qubits, self.rng)
         return bits
 
     def decode_pauli(self) -> PauliOperator:

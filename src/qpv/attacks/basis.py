@@ -7,14 +7,16 @@ Pauli group, where a computational measurement plus classical bookkeeping
 recovers x. The non-entangled pair (breidbart, random-guess) needs no
 quantum resources at all.
 
-The tree strategy ships two engines. The lazy engine evolves only the
-realized branch and fills the unselected slots of Bob's measurement record
-with uniform bits, which is exactly what measuring halves of untouched Bell
-pairs yields. The full engine (n=1, depth 3) materializes every branch as
-one 13-qubit register: the payload, one pair per direction of the first
-round trip, and a four-address final bank, with Bob measuring all four
-addresses. Both produce identical records and share one decoder, so
-agreement between them validates the lazy shortcut.
+The tree strategy ships two engines. The lazy engine is the shared chain
+engine: it draws each teleport correction as the Bell measurement would,
+evolves the payload once along the realized branch, and fills the unselected
+slots of Bob's measurement record with uniform bits, which is exactly what
+measuring halves of untouched Bell pairs yields. The full engine (n=1,
+depth 3) materializes every branch as one 13-qubit register: the payload,
+one pair per direction of the first round trip, and a four-address final
+bank, with Bob measuring all four addresses. Both produce identical records
+and share one decoder, so agreement between them validates the lazy
+shortcut.
 
 Every strategy decodes to a uint8 bit array. The basis game has no empty
 symbol, so lost positions take the pre-agreed shared bits (`with_fallback`),
@@ -40,6 +42,7 @@ from ..statevec import (
     apply_unitary,
     bell_measurement,
     bell_pair,
+    embed_operator,
     measure_computational,
     partial_trace,
 )
@@ -141,9 +144,9 @@ class ChainAttack(CoalitionStrategy):
         )
         trial.alice["sigmas"] = engine.transcript.alice
         trial.bob["sigmas"] = engine.transcript.bob
+        trial.bob["bits"] = engine.measure()
         # kept for cross-engine state validation; the protocol never reads it
         trial.bob["premeasure"] = engine.state
-        trial.bob["bits"] = engine.measure()
         return trial
 
     def round1_alice(self, trial) -> dict:
@@ -384,24 +387,23 @@ class LayoutAttack(ChainAttack):
                     raise ValidationError("layout gates must sit in level 3 or below")
         self.layout = layout
         self.name = "layout"
+        self.chain = [
+            ChainGate(
+                embed_operator(gate.gate, gate.targets, layout.n),
+                gate.targets,
+                BOB,
+                max_burns=gate.level - 2,
+                label=f"layer{index + 1}",
+            )
+            for index in reversed(range(layout.depth))
+            for gate in layout.layers[index]
+        ]
 
     def reserved_epr(self, challenge: Challenge) -> int:
         return layout_cost(self.layout).reserved_epr
 
     def _gates(self, challenge: Challenge) -> list[ChainGate]:
-        gates = []
-        for index in reversed(range(self.layout.depth)):
-            for gate in self.layout.layers[index]:
-                gates.append(
-                    ChainGate(
-                        gate.gate,
-                        gate.targets,
-                        BOB,
-                        max_burns=gate.level - 2,
-                        label=f"layer{index + 1}",
-                    )
-                )
-        return gates
+        return self.chain
 
 
 BREIDBART_BASIS = np.array(

@@ -25,16 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gates import CNOT, H, I2, S, X, Z
+from .gates import H, I2, S
 
 ATOL = 1e-8
-
-_SINGLE = {
-    (0, 0): I2,
-    (1, 0): X,
-    (0, 1): Z,
-    (1, 1): X @ Z,
-}
 
 
 @dataclass(frozen=True)
@@ -57,10 +50,15 @@ class PauliOperator:
         return len(self.x_bits)
 
     def matrix(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
+        # X^x Z^z |c> = (-1)^{c.z} |c xor x>: one signed entry per column c
+        x = z = 0
         for xb, zb in zip(self.x_bits, self.z_bits):
-            m = np.kron(m, _SINGLE[(xb, zb)])
-        return (1j**self.phase) * m
+            x, z = 2 * x + xb, 2 * z + zb
+        d = 2**self.num_qubits
+        m = np.zeros((d, d), dtype=np.complex128)
+        for c in range(d):
+            m[c ^ x, c] = 1j**self.phase * (-1) ** bin(c & z).count("1")
+        return m
 
     def inverse(self) -> "PauliOperator":
         # (X^x Z^z)^2 = (-1)^{x.z} I, so the inverse reuses the same bits.
@@ -355,6 +353,9 @@ CLIFFORD_MUL = tuple(_clifford_indices(a @ CLIFFORD_1Q) for a in CLIFFORD_1Q)
 CLIFFORD_INV = _clifford_indices(CLIFFORD_1Q.conj().transpose(0, 2, 1))
 # (x, z) -> index of X^x Z^z, and back: the bits of each Pauli element, None
 # for the 20 elements that are not Paulis.
-PAULI_CLIFFORD = {xz: clifford_index(m) for xz, m in _SINGLE.items()}
+PAULI_CLIFFORD = {
+    (x, z): clifford_index(PauliOperator((x,), (z,)).matrix())
+    for x, z in itertools.product((0, 1), repeat=2)
+}
 _XZ_OF_INDEX = {k: xz for xz, k in PAULI_CLIFFORD.items()}
 CLIFFORD_XZ = tuple(_XZ_OF_INDEX.get(k) for k in range(len(CLIFFORD_1Q)))

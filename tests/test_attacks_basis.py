@@ -159,6 +159,20 @@ def test_layout_attack_parallel_gates():
     assert stats.reserved_epr == 28
 
 
+def test_layout_attack_strips_a_two_qubit_gate_on_reversed_targets():
+    # control on qubit 1: the strip must embed the gate by its targets even
+    # when it spans the whole register
+    layout = CircuitLayout(
+        2,
+        (
+            (LayoutGate(gates.T, (0,), 3), LayoutGate(gates.H, (1,), 2)),
+            (LayoutGate(gates.CNOT, (1, 0), 2),),
+        ),
+    )
+    stats = play(BasisGameSpec(2, "layout", layout=layout), LayoutAttack(layout), 60)
+    assert stats.win_rate == 1.0
+
+
 def test_layout_attack_single_gate_matches_tree():
     layout = single_gate_layout(gates.T, 3)
     stats = play(

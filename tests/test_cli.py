@@ -55,6 +55,34 @@ def test_run_rejects_a_one_port_hop_with_one_error_line(tmp_path, capsys):
     assert "port count must be at least 2" in lines[0]
 
 
+def test_run_rejects_a_rotation_above_the_tree_level_with_one_error_line(
+    tmp_path, capsys
+):
+    config = tmp_path / "tree.cfg"
+    config.write_text(
+        "game = basis\nn = 1\nfamily = haar\nactor = tree:3\ntrials = 3\nseed = 1\n"
+    )
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0] == (
+        "error=StrategyError: challenge rotation is outside hierarchy level 3"
+    )
+
+
+def test_run_rejects_a_directory_as_out_with_one_error_line(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_RUN)
+    assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=IsADirectoryError:")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1
     lines = error_lines(capsys.readouterr().err)

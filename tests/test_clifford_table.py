@@ -21,7 +21,6 @@ from qpv.pauli import (
     CLIFFORD_MUL,
     CLIFFORD_XZ,
     PAULI_CLIFFORD,
-    _SINGLE,
     clifford_index,
     is_clifford,
     try_as_pauli,
@@ -29,6 +28,15 @@ from qpv.pauli import (
 from qpv.rng import RngStream
 from qpv.sk import LETTER_MATRICES, GateWord
 from qpv.statevec import haar_random_unitary, phase_invariant_distance
+
+
+# X^x Z^z for each (x, z), the dense matrices the oracle chain multiplies
+_SINGLE = {
+    (0, 0): gates.I2,
+    (1, 0): gates.X,
+    (0, 1): gates.Z,
+    (1, 1): gates.X @ gates.Z,
+}
 
 
 def equal_up_to_phase(a, b) -> bool:

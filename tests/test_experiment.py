@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,10 @@ def _basis(actor, family, n, p_loss, trials, **keys):
     )
 
 
+# T and Tdg on the two qubits, then a CNOT
+T_PAIR_CNOT = Path(__file__).parent / "layouts" / "t_pair_cnot.json"
+
+
 def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials):
     return _config(
         game="ip", n=n, t=t, actor=actor, eta_err=eta_err, eta_loss=eta_loss,
@@ -214,6 +219,19 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials):
             _basis("tree:3", "clifford", 1, 0.3, 40),
             "6513072123af437c0d33b96fbc486e8bf2f3860cded583641237be09385e956b",
             id="tree-3",
+        ),
+        pytest.param(
+            _basis(
+                f"layout:{T_PAIR_CNOT}", "layout", 2, 0.2, 100,
+                layout_file=T_PAIR_CNOT, p_dep=0.1,
+            ),
+            "e4f465805b6ef7fe488a6557ea4348b0394d985fcb125c7b2061cc309d0a30fd",
+            id="layout-t-pair-cnot",
+        ),
+        pytest.param(
+            _basis("clifford", "clifford", 3, 0.2, 40, p_dep=0.2),
+            "60b86bd452d4fccdeb75b4b38e1958b87a19ab60d7b801ed2368de68a417f4fc",
+            id="clifford-3-depolarized",
         ),
         pytest.param(
             _basis("breidbart", "bb84", 500, 0.1, 10, eta=0.16),
@@ -258,6 +276,12 @@ def test_records_match_their_frozen_digests(text, digest):
     # how a strategy decodes its answers, changes these records. Such a
     # change bumps ARTIFACT_VERSION and re-derives every digest.
     record = strip_wall_clock(run_experiment(parse_config(text)).record)
+    # the layout file's path depends on the checkout, so only its name counts
+    config = record["config"]
+    if "layout_file" in config:
+        name = Path(config["layout_file"]).name
+        config["layout_file"] = name
+        config["actor"] = f"layout:{name}"
     assert record["artifact_version"] == 1
     assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == digest
 

@@ -1,7 +1,11 @@
 """Pauli algebra, recognition, and the Clifford hierarchy predicates."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import gates
 from qpv.pauli import (
@@ -17,6 +21,34 @@ from qpv.pauli import (
 )
 from qpv.rng import RngStream
 from qpv.statevec import haar_random_unitary
+
+# X^x Z^z for each (x, z): the oracle builds a Pauli's matrix as the
+# Kronecker product of these, one factor per qubit
+SINGLE = {
+    (0, 0): gates.I2,
+    (1, 0): gates.X,
+    (0, 1): gates.Z,
+    (1, 1): gates.X @ gates.Z,
+}
+
+
+def kron_matrix(p: PauliOperator) -> np.ndarray:
+    factors = [SINGLE[xz] for xz in zip(p.x_bits, p.z_bits)]
+    return (1j**p.phase) * functools.reduce(np.kron, factors)
+
+
+@st.composite
+def paulis(draw, n=None):
+    if n is None:
+        n = draw(st.integers(1, 4))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return PauliOperator(draw(bits), draw(bits), draw(st.integers(0, 3)))
+
+
+@st.composite
+def pauli_pairs(draw):
+    n = draw(st.integers(1, 4))
+    return draw(paulis(n)), draw(paulis(n))
 
 
 def test_pauli_matrix_round_trip():
@@ -126,3 +158,28 @@ def test_clifford_conjugation_preserves_third_level():
         u = c @ gates.T @ c.conj().T
         assert hierarchy_level(u, k_max=3).level == 3
         assert is_semi_clifford(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(paulis())
+def test_matrix_equals_the_kronecker_product_of_single_qubit_factors(p):
+    assert np.array_equal(p.matrix(), kron_matrix(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_pairs())
+def test_pauli_mul_is_the_matrix_product(pair):
+    a, b = pair
+    assert np.array_equal(pauli_mul(a, b).matrix(), a.matrix() @ b.matrix())
+
+
+@settings(max_examples=200, deadline=None)
+@given(paulis())
+def test_try_as_pauli_inverts_matrix(p):
+    assert try_as_pauli(p.matrix()) == p
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_try_as_pauli_rejects_haar_unitaries(n, seed):
+    assert try_as_pauli(haar_random_unitary(2**n, RngStream(seed, 0))) is None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import gates
 from qpv.errors import ValidationError
@@ -60,6 +62,25 @@ def test_apply_unitary_matches_embedding():
     via_targets = apply_unitary(s, u, [1])
     via_embed = apply_unitary(s, embed_operator(u, [1], 3), [0, 1, 2])
     assert np.allclose(via_targets.amps, via_embed.amps, atol=1e-12)
+
+
+@st.composite
+def gate_placements(draw):
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    return n, tuple(order[: draw(st.integers(1, n))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(gate_placements(), st.integers(0, 2**32 - 1))
+def test_apply_unitary_matches_the_embedded_operator(placement, seed):
+    n, targets = placement
+    rng = RngStream(seed, 0)
+    state = haar_random_state(n, rng)
+    u = haar_random_unitary(2 ** len(targets), rng)
+    applied = apply_unitary(state, u, targets)
+    embedded = embed_operator(u, targets, n) @ state.amps
+    assert np.max(np.abs(applied.amps - embedded)) < 1e-12
 
 
 def test_apply_unitary_rejects_bad_targets():
