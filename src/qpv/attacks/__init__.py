@@ -4,6 +4,8 @@ Entangled strategies (Pauli, Clifford, tree, layout, PBT, SK) trade
 pre-shared EPR pairs for the ability to answer within a single classical
 exchange; the non-entangled family (random-basis, lossy-confidence,
 Breidbart, random-guess) plays the same interface with an empty ledger.
+Every strategy sends all its decoder reads in the one exchange, so both
+parties hold the same two messages and `answer` decodes their one string.
 `strategy_from_name` maps the stable CLI identifiers onto constructors.
 """
 
@@ -19,7 +21,6 @@ from .base import (
     TrialState,
     decode_chain_answer,
     run_chain,
-    shared_random_bits,
 )
 from .basis import (
     BREIDBART_BASIS,
@@ -60,7 +61,6 @@ __all__ = [
     "TrialState",
     "decode_chain_answer",
     "run_chain",
-    "shared_random_bits",
     "strategy_from_name",
 ]
 

@@ -5,16 +5,17 @@ V0 and the honest transmission path (she receives the quantum payload and
 V0's classical share), Bob sits near V1 (he receives V1's classical share).
 The agents pre-share entanglement and classical randomness, run local
 quantum operations, then perform exactly one simultaneous classical
-exchange, after which each independently produces an answer string.
+exchange, after which each produces an answer string.
 
 Because every measurement Alice performs acts on her registers and every
 measurement Bob performs acts on his, the two parties' operations commute.
 The shared quantum phase is therefore simulated once, in causal order, when
 a trial state is built; each party's outcomes land in its private record,
-and the interface methods only form messages (round 1) and decode answers
-(finalize). No finalize ever sees more than one partner message, and no
-round-1 message depends on the partner's message, which is the whole
-one-round constraint.
+and each round-1 message is formed from its sender's record alone. The
+answer is a function of the two messages, the public challenge and the
+pre-agreed randomness, which is the whole one-round constraint: after the
+exchange both parties hold exactly these, so they give the same string and
+it is decoded once.
 
 The chain engine below drives the teleportation attacks. It tracks the
 outer operator O and the ideal inverse W that the strips accumulate, both
@@ -76,7 +77,9 @@ class EntanglementLedger:
 
 @dataclass
 class TrialState:
-    """Per-trial private state: one shared quantum workspace, two records."""
+    """Per-trial state: the public challenge, the pre-agreed randomness and
+    the ledger, and each party's private record, which only that party's
+    round-1 message reads."""
 
     challenge: Challenge
     delivered: DeliveredPayload
@@ -87,7 +90,11 @@ class TrialState:
 
 
 class CoalitionStrategy(ABC):
-    """Two cheating agents behind a single simultaneous classical exchange."""
+    """Two cheating agents behind a single simultaneous classical exchange.
+
+    Both agents answer from the same two messages, so a strategy writes the
+    decoder once, as `answer`, and `run_trial` reports its string for both.
+    """
 
     name = "abstract"
 
@@ -110,12 +117,9 @@ class CoalitionStrategy(ABC):
         """Bob's single classical message to Alice, from his record only."""
 
     @abstractmethod
-    def finalize_alice(self, trial: TrialState, bob_message: dict) -> str:
-        """Alice's answer from her record plus Bob's one message."""
-
-    @abstractmethod
-    def finalize_bob(self, trial: TrialState, alice_message: dict) -> str:
-        """Bob's answer from his record plus Alice's one message."""
+    def answer(self, trial: TrialState, to_bob: dict, to_alice: dict) -> str:
+        """Both parties' answer from the two round-1 messages, the challenge
+        and the pre-agreed randomness (`trial.rng`); never from a record."""
 
     def base_trial(
         self, challenge: Challenge, delivered: DeliveredPayload, rng: RngStream
@@ -131,28 +135,15 @@ class CoalitionStrategy(ABC):
         self, challenge: Challenge, delivered: DeliveredPayload, rng: RngStream
     ) -> TrialOutcome:
         trial = self.new_trial(challenge, delivered, rng)
-        to_bob = self.round1_alice(trial)
-        to_alice = self.round1_bob(trial)
-        y_alice = self.finalize_alice(trial, to_alice)
-        y_bob = self.finalize_bob(trial, to_bob)
+        y = self.answer(trial, self.round1_alice(trial), self.round1_bob(trial))
         ledger = trial.ledger
         if ledger.consumed > ledger.reserved:
             raise BoundCheckError("ledger invariant violated")
-        return TrialOutcome(y_alice, y_bob, ledger.consumed, ledger.reserved)
-
-
-def shared_random_bits(trial: TrialState, n: int) -> np.ndarray:
-    """Pre-agreed fallback bits (uint8), drawn once into both parties' records."""
-    key = "fallback_bits"
-    if key not in trial.alice:
-        bits = trial.rng.bits(n)
-        trial.alice[key] = bits
-        trial.bob[key] = bits
-    return trial.alice[key]
+        return TrialOutcome(y, y, ledger.consumed, ledger.reserved)
 
 
 def with_fallback(trial: TrialState, bits, where) -> np.ndarray:
-    """`bits` as a uint8 array, with the shared fallback bits at `where`.
+    """`bits` as a uint8 array, with pre-agreed uniform bits at `where`.
 
     The fallback is drawn only when some position needs it, so a trial that
     never falls back leaves the trial stream untouched.
@@ -161,14 +152,14 @@ def with_fallback(trial: TrialState, bits, where) -> np.ndarray:
     where = np.asarray(where, dtype=bool)
     if not where.any():
         return bits
-    return np.where(where, shared_random_bits(trial, len(bits)), bits)
+    return np.where(where, trial.rng.bits(len(bits)), bits)
 
 
 class CorrectionTranscript:
     """Each party's teleport corrections, in the order its hops made them.
 
     A live chain records every correction under the party that sent the
-    qubit; after the exchange both parties replay the chain, reading each
+    qubit; after the exchange the answer replays the chain, reading each
     party's corrections back in the same order.
     """
 
@@ -218,8 +209,8 @@ class ChainEngine:
     correction as a Bell measurement of the sent qubit would, records it in
     the transcript and charges the ledger; the payload stays as delivered
     until measure() evolves it once by O W. Replay mode (state None) reads
-    the corrections back from the given transcripts, so both parties decode
-    by replaying the identical control flow after the exchange.
+    the corrections back from the exchanged transcripts, so the answer is
+    decoded by replaying the identical control flow.
     """
 
     def __init__(
@@ -290,15 +281,6 @@ class ChainEngine:
                 f"on {gate.label or 'gate'}"
             )
 
-    def apply_exact(self, op: np.ndarray, party: str):
-        """Holder applies a unitary it knows exactly; the outer operator must
-        stay Pauli (used for the chain's opening word, where holder = owner)."""
-        self.move_to(party)
-        self.outer = op @ self.outer @ op.conj().T
-        self.inverse = op @ self.inverse
-        if try_as_pauli(self.outer) is None:
-            raise StrategyError("exact strip left a non-Pauli outer operator")
-
     def _burn(self, targets: tuple[int, ...], level_check: int | None = None):
         self._hop(targets)
         # candidate = sigma1 @ o_pre; the owner covers every possible value
@@ -324,7 +306,7 @@ class ChainEngine:
         return bits
 
     def decode_pauli(self) -> PauliOperator:
-        """Reduce the final outer operator to the Pauli both parties invert."""
+        """Reduce the final outer operator to the Pauli the answer inverts."""
         p = try_as_pauli(self.outer)
         if p is None:
             raise StrategyError("chain residue is not a Pauli operator")
@@ -340,7 +322,6 @@ def run_chain(
     ledger: EntanglementLedger | None = None,
     alice_sigmas: list | None = None,
     bob_sigmas: list | None = None,
-    opening: tuple[np.ndarray, str] | None = None,
 ) -> ChainEngine:
     """Run (or replay) a full strip chain and leave the register with Bob."""
     engine = ChainEngine(
@@ -351,9 +332,6 @@ def run_chain(
         alice_sigmas=alice_sigmas,
         bob_sigmas=bob_sigmas,
     )
-    if opening is not None:
-        op, party = opening
-        engine.apply_exact(op, party)
     for gate in gates:
         engine.strip(gate)
     engine.move_to(BOB)
@@ -366,15 +344,8 @@ def decode_chain_answer(
     alice_sigmas: list,
     bob_sigmas: list,
     measured: tuple[int, ...],
-    opening: tuple[np.ndarray, str] | None = None,
 ) -> np.ndarray:
     """Replay the chain from the exchanged transcripts and undo the residue."""
-    engine = run_chain(
-        gates,
-        n,
-        alice_sigmas=alice_sigmas,
-        bob_sigmas=bob_sigmas,
-        opening=opening,
-    )
+    engine = run_chain(gates, n, alice_sigmas=alice_sigmas, bob_sigmas=bob_sigmas)
     residue = engine.decode_pauli()
     return np.bitwise_xor(measured, residue.x_bits).astype(np.uint8)

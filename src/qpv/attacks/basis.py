@@ -18,9 +18,10 @@ bank, with Bob measuring all four addresses. Both produce identical records
 and share one decoder, so agreement between them validates the lazy
 shortcut.
 
-Every strategy decodes to a uint8 bit array. The basis game has no empty
-symbol, so lost positions take the pre-agreed shared bits (`with_fallback`),
-and `protocols.render_answer` spells the answer string.
+Every strategy's `answer` decodes the two exchanged messages to a uint8
+bit array. The basis game has no empty symbol, so lost positions take
+pre-agreed random bits (`with_fallback`), and `protocols.render_answer`
+spells the answer string.
 
 Reconstruction failures (a residue that is not Pauli, a rotation outside
 the declared hierarchy level) raise; they signal a misconfigured strategy,
@@ -53,7 +54,6 @@ from .base import (
     TrialState,
     decode_chain_answer,
     run_chain,
-    shared_random_bits,
     with_fallback,
 )
 
@@ -103,29 +103,16 @@ class PauliAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {"pauli": trial.bob["pauli"]}
 
-    def _decode(self, trial, bits, lost, pauli: PauliOperator) -> str:
-        answer = np.bitwise_xor(bits, pauli.x_bits)
-        return render_answer(with_fallback(trial, answer, lost))
-
-    def finalize_alice(self, trial, bob_message) -> str:
-        return self._decode(
-            trial, trial.alice["bits"], trial.alice["lost"], bob_message["pauli"]
-        )
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        return self._decode(
-            trial,
-            alice_message["bits"],
-            alice_message["lost"],
-            trial.bob["pauli"],
-        )
+    def answer(self, trial, to_bob, to_alice) -> str:
+        bits = np.bitwise_xor(to_bob["bits"], to_alice["pauli"].x_bits)
+        return render_answer(with_fallback(trial, bits, to_bob["lost"]))
 
 
 class ChainAttack(CoalitionStrategy):
     """Shared machinery for the teleportation-chain strategies.
 
     Subclasses define the strip list; this class runs the live chain, has
-    Bob measure, and lets both parties decode by transcript replay.
+    Bob measure, and decodes the answer by transcript replay.
     """
 
     def _gates(self, challenge: Challenge) -> list[ChainGate]:
@@ -155,33 +142,19 @@ class ChainAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {"sigmas": trial.bob["sigmas"], "bits": trial.bob["bits"]}
 
-    def _decode(self, trial, alice_sigmas, bob_sigmas, bits, lost) -> str:
-        answer = decode_chain_answer(
+    def _measured(self, to_bob, to_alice) -> tuple:
+        """Bob's outcome on the realized path."""
+        return to_alice["bits"]
+
+    def answer(self, trial, to_bob, to_alice) -> str:
+        bits = decode_chain_answer(
             self._gates(trial.challenge),
             trial.challenge.n,
-            alice_sigmas,
-            bob_sigmas,
-            bits,
+            to_bob["sigmas"],
+            to_alice["sigmas"],
+            self._measured(to_bob, to_alice),
         )
-        return render_answer(with_fallback(trial, answer, lost))
-
-    def finalize_alice(self, trial, bob_message) -> str:
-        return self._decode(
-            trial,
-            trial.alice["sigmas"],
-            bob_message["sigmas"],
-            bob_message["bits"],
-            trial.alice["lost"],
-        )
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        return self._decode(
-            trial,
-            alice_message["sigmas"],
-            trial.bob["sigmas"],
-            trial.bob["bits"],
-            alice_message["lost"],
-        )
+        return render_answer(with_fallback(trial, bits, to_bob["lost"]))
 
 
 class CliffordAttack(ChainAttack):
@@ -285,25 +258,9 @@ class TreeAttack(ChainAttack):
     def round1_bob(self, trial) -> dict:
         return {"sigmas": trial.bob["sigmas"], "slots": trial.bob["slots"]}
 
-    def finalize_alice(self, trial, bob_message) -> str:
-        address = self._address(trial.alice["sigmas"])
-        return self._decode(
-            trial,
-            trial.alice["sigmas"],
-            bob_message["sigmas"],
-            bob_message["slots"][address],
-            trial.alice["lost"],
-        )
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        address = self._address(alice_message["sigmas"])
-        return self._decode(
-            trial,
-            alice_message["sigmas"],
-            trial.bob["sigmas"],
-            trial.bob["slots"][address],
-            alice_message["lost"],
-        )
+    def _measured(self, to_bob, to_alice) -> tuple:
+        """The slot that Alice's corrections address."""
+        return to_alice["slots"][self._address(to_bob["sigmas"])]
 
     def _full_trial(self, challenge, delivered, rng) -> TrialState:
         """Depth-3 run with every branch explicit in one 13-qubit register.
@@ -448,13 +405,8 @@ class BreidbartAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {}
 
-    def finalize_alice(self, trial, bob_message) -> str:
-        a = trial.alice
-        return render_answer(with_fallback(trial, a["bits"], a["lost"]))
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        m = alice_message
-        return render_answer(with_fallback(trial, m["bits"], m["lost"]))
+    def answer(self, trial, to_bob, to_alice) -> str:
+        return render_answer(with_fallback(trial, to_bob["bits"], to_bob["lost"]))
 
 
 class RandomGuessAttack(CoalitionStrategy):
@@ -466,9 +418,7 @@ class RandomGuessAttack(CoalitionStrategy):
         return 0
 
     def new_trial(self, challenge, delivered, rng) -> TrialState:
-        trial = self.base_trial(challenge, delivered, rng)
-        shared_random_bits(trial, challenge.n)
-        return trial
+        return self.base_trial(challenge, delivered, rng)
 
     def round1_alice(self, trial) -> dict:
         return {}
@@ -476,8 +426,5 @@ class RandomGuessAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {}
 
-    def finalize_alice(self, trial, bob_message) -> str:
-        return render_answer(shared_random_bits(trial, trial.challenge.n))
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        return render_answer(shared_random_bits(trial, trial.challenge.n))
+    def answer(self, trial, to_bob, to_alice) -> str:
+        return render_answer(trial.rng.bits(trial.challenge.n))

@@ -21,10 +21,11 @@ pre-agreed subset, scaling the residual error mass by the answered
 fraction so the winning boundary sits exactly at eta_err + eta_loss/4
 = 1/4.
 
-Every strategy decodes to a uint8 bit array plus a bool mask of the
-positions it declares empty, and `protocols.render_answer` spells the
-answer string; positions with no usable bit (a failed hop, a loss beyond
-the declared budget) take the pre-agreed shared bits (`with_fallback`).
+Every strategy's `answer` decodes the two exchanged messages to a uint8
+bit array plus a bool mask of the positions it declares empty, and
+`protocols.render_answer` spells the answer string; positions with no
+usable bit (a failed hop, a loss beyond the declared budget) take
+pre-agreed random bits (`with_fallback`).
 """
 
 from __future__ import annotations
@@ -155,15 +156,10 @@ class PbtAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {"bits": trial.bob["bits"]}
 
-    def _decode(self, trial, bits, lost) -> str:
+    def answer(self, trial, to_bob, to_alice) -> str:
+        bits, lost = to_alice["bits"], to_bob["lost"]
         failed = (bits == _HOP_FAILED) & ~lost
         return render_answer(with_fallback(trial, bits, failed), lost)
-
-    def finalize_alice(self, trial, bob_message) -> str:
-        return self._decode(trial, bob_message["bits"], trial.alice["lost"])
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        return self._decode(trial, trial.bob["bits"], alice_message["lost"])
 
 
 _LETTER_CONJ = {
@@ -359,37 +355,16 @@ class SkAttack(CoalitionStrategy):
             "bits": trial.bob["bits"],
         }
 
-    def _decode(self, trial, alice_sigmas, bob_sigmas, u_letters, v_letters,
-                bits, lost) -> str:
-        answer = bits.copy()
+    def answer(self, trial, to_bob, to_alice) -> str:
+        u_letters, v_letters = to_bob["u_letters"], to_alice["v_letters"]
+        lost = to_bob["lost"]
+        bits = to_alice["bits"].copy()
         for q in np.flatnonzero(~lost):
             c = q if len(u_letters) > 1 else 0
-            chain = _TableChain(alice=alice_sigmas[q], bob=bob_sigmas[q])
+            chain = _TableChain(alice=to_bob["sigmas"][q], bob=to_alice["sigmas"][q])
             _run_words(chain, u_letters[c], v_letters[c])
-            answer[q] ^= chain.residue_x()
-        return render_answer(answer, lost)
-
-    def finalize_alice(self, trial, bob_message) -> str:
-        return self._decode(
-            trial,
-            trial.alice["sigmas"],
-            bob_message["sigmas"],
-            trial.alice["u_letters"],
-            bob_message["v_letters"],
-            bob_message["bits"],
-            trial.alice["lost"],
-        )
-
-    def finalize_bob(self, trial, alice_message) -> str:
-        return self._decode(
-            trial,
-            alice_message["sigmas"],
-            trial.bob["sigmas"],
-            alice_message["u_letters"],
-            trial.bob["v_letters"],
-            trial.bob["bits"],
-            alice_message["lost"],
-        )
+            bits[q] ^= chain.residue_x()
+        return render_answer(bits, lost)
 
 
 def _strip_order(u_words, v_words):
@@ -456,22 +431,14 @@ class RandomBasisAttack(CoalitionStrategy):
     def round1_bob(self, trial) -> dict:
         return {"v_share": trial.bob["v_share"]}
 
-    def finalize_alice(self, trial, bob_message) -> str:
-        a = trial.alice
-        return self._decode(
-            trial, a["bases"], a["outcomes"], a["lost"],
-            a["u_share"], bob_message["v_share"],
+    def answer(self, trial, to_bob, to_alice) -> str:
+        guess = _guess_bits(
+            to_bob["bases"], to_bob["outcomes"], to_bob["u_share"],
+            to_alice["v_share"], trial.challenge.n,
         )
+        return self._render(trial, guess, to_bob["lost"])
 
-    def finalize_bob(self, trial, alice_message) -> str:
-        m = alice_message
-        return self._decode(
-            trial, m["bases"], m["outcomes"], m["lost"],
-            m["u_share"], trial.bob["v_share"],
-        )
-
-    def _decode(self, trial, bases, outcomes, lost, u_share, v_share) -> str:
-        guess = _guess_bits(bases, outcomes, u_share, v_share, trial.challenge.n)
+    def _render(self, trial, guess, lost) -> str:
         return render_answer(guess, lost)
 
 
@@ -520,25 +487,19 @@ class LossyConfidenceAttack(RandomBasisAttack):
         """Budgeted empty positions: the first `budget` lost ones, topped up
         with the not-yet-lost entries of a pre-agreed order."""
         n = trial.challenge.n
-        key = "drop_order"
-        if key not in trial.alice:
-            order = trial.rng.generator.permutation(n)
-            trial.alice[key] = order
-            trial.bob[key] = order
+        order = trial.rng.generator.permutation(n)
         lost_q = np.flatnonzero(lost)
-        order = trial.alice[key]
         extra = order[~lost[order]][: max(0, budget - len(lost_q))]
         drop = np.zeros(n, dtype=bool)
         drop[lost_q[:budget]] = True
         drop[extra] = True
         return drop
 
-    def _decode(self, trial, bases, outcomes, lost, u_share, v_share) -> str:
+    def _render(self, trial, guess, lost) -> str:
         n = trial.challenge.n
         eta = self.eta_loss
         if eta is None:
             eta = trial.challenge.spec.eta_loss
         budget = max(0, math.ceil(eta * n) - 1)
-        guess = _guess_bits(bases, outcomes, u_share, v_share, n)
         drop = self._drop_mask(trial, lost, budget)
         return render_answer(with_fallback(trial, guess, lost & ~drop), drop)

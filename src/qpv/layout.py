@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -97,10 +98,19 @@ class CircuitLayout:
         return u
 
     def composite_unitary(self) -> np.ndarray:
-        """Full-circuit matrix: the last layer is the leftmost factor."""
+        """Full-circuit matrix: the last layer is the leftmost factor.
+
+        The layout is immutable, so the product is built on the first call
+        and every call returns that one read-only array.
+        """
+        return self._composite
+
+    @cached_property
+    def _composite(self) -> np.ndarray:
         u = np.eye(2**self.n, dtype=np.complex128)
         for index in range(self.depth):
             u = self.layer_unitary(index) @ u
+        u.setflags(write=False)
         return u
 
 

@@ -1,5 +1,9 @@
 """Entangled and unentangled coalition strategies against the basis game."""
 
+import sys
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,9 @@ from qpv.attacks import (
     RandomGuessAttack,
     TreeAttack,
 )
+from qpv.attacks.base import decode_chain_answer
 from qpv.errors import StrategyError, ValidationError
-from qpv.layout import CircuitLayout, LayoutGate, single_gate_layout
+from qpv.layout import CircuitLayout, LayoutGate, load_layout, single_gate_layout
 from qpv.pauli import random_clifford
 from qpv.protocols import (
     BasisGameSpec,
@@ -28,6 +33,8 @@ from qpv.rng import RngStream
 from qpv.statevec import fidelity
 
 CLEAN = ChannelModel()
+# the layout of the benchmark's basis-layout-chain workload
+CHAIN5 = Path(__file__).parent.parent / "perfbench" / "layouts" / "chain5.json"
 
 
 def play(spec, attack, trials, seed=11, threads=1):
@@ -126,8 +133,8 @@ def test_tree_full_engine_matches_lazy_realized_path():
             tl = lazy.new_trial(challenge, delivered, RngStream(seed, 2))
             tf = full.new_trial(challenge, delivered, RngStream(seed, 2))
             assert fidelity(tl.bob["premeasure"], tf.bob["premeasure"]) > 1 - 1e-9
-            yl = lazy.finalize_alice(tl, lazy.round1_bob(tl))
-            yf = full.finalize_alice(tf, full.round1_bob(tf))
+            yl = lazy.answer(tl, lazy.round1_alice(tl), lazy.round1_bob(tl))
+            yf = full.answer(tf, full.round1_alice(tf), full.round1_bob(tf))
             assert yl == yf
 
 
@@ -239,3 +246,59 @@ def test_breidbart_wins_above_its_error_rate():
 def test_random_guess_error_rate_at_ten_thousand_qubits():
     stats = play(BasisGameSpec(10**4, "bb84"), RandomGuessAttack(), 30, seed=19)
     assert abs(stats.mean_error_count / 10**4 - 0.5) < 0.01
+
+
+BASIS_STRATEGIES = {
+    "pauli": lambda: (BasisGameSpec(3, "pauli"), PauliAttack()),
+    "clifford": lambda: (BasisGameSpec(2, "clifford"), CliffordAttack()),
+    "tree:3": lambda: (tree_spec(gates.T, gates.H @ gates.T), TreeAttack(3)),
+    "tree:3-full": lambda: (tree_spec(gates.T), TreeAttack(3, engine="full")),
+    "layout": lambda: (
+        BasisGameSpec(2, "layout", layout=load_layout(CHAIN5)),
+        LayoutAttack(load_layout(CHAIN5)),
+    ),
+    "breidbart": lambda: (BasisGameSpec(8, "bb84"), BreidbartAttack()),
+    "random-guess": lambda: (BasisGameSpec(8, "bb84"), RandomGuessAttack()),
+}
+
+
+@pytest.mark.parametrize("name", BASIS_STRATEGIES)
+def test_answer_reads_only_the_exchanged_messages(name, answer_twice):
+    spec, attack = BASIS_STRATEGIES[name]()
+    some_lost = False
+    for seed in range(6):
+        (first, second), lost = answer_twice(attack, spec, seed)
+        assert first == second
+        some_lost |= bool(lost.any())
+    # lost positions make with_fallback draw the pre-agreed bits
+    assert some_lost
+
+
+def test_chain_answer_replays_the_chain_once_per_trial():
+    layout = load_layout(CHAIN5)
+    spec = BasisGameSpec(2, "layout", layout=layout)
+    with mock.patch(
+        "qpv.attacks.basis.decode_chain_answer", wraps=decode_chain_answer
+    ) as replay:
+        stats = play(spec, LayoutAttack(layout), 200, seed=5)
+    assert stats.win_rate == 1.0
+    assert replay.call_count == 200
+
+
+def test_pooled_trials_share_one_layout_product():
+    # every trial of a fresh layout races to build its cached product first
+    def play_fresh(threads):
+        layout = load_layout(CHAIN5)
+        spec = BasisGameSpec(2, "layout", layout=layout)
+        return run_game(
+            spec, LayoutAttack(layout), ChannelModel(p_loss=0.3), 40,
+            RngStream(7, 0), threads=threads, keep_trials=True,
+        )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = play_fresh(4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == play_fresh(1)

@@ -1,6 +1,7 @@
 """Strategies against the interleaved-product game, and the name factory."""
 
 import math
+from unittest import mock
 
 import pytest
 
@@ -14,6 +15,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
+from qpv.attacks.ip import _run_words
 from qpv import sk as sk_module
 from qpv.costs import sk_cost
 from qpv.errors import StrategyError, ValidationError
@@ -22,6 +24,7 @@ from qpv.protocols import (
     ChannelModel,
     DeliveredPayload,
     IPGameSpec,
+    apply_channel,
     gen_basis_challenge,
     gen_ip_challenge,
     run_game,
@@ -39,6 +42,11 @@ def play(spec, attack, trials, seed=19):
 @pytest.fixture(scope="module")
 def sk2():
     return SkAttack(2)
+
+
+@pytest.fixture(scope="module")
+def sk1():
+    return SkAttack(1)
 
 
 def test_pbt_attack_reserved_and_error_rate():
@@ -267,3 +275,34 @@ def test_lossy_confidence_wins_under_channel_loss_at_ten_thousand_qubits():
         spec, LossyConfidenceAttack(), ChannelModel(p_loss=0.1), 3, RngStream(18, 0)
     )
     assert stats.win_rate == 1.0
+
+
+@pytest.mark.parametrize("name", ["pbt:8", "sk:1", "random-basis", "lossy-confidence"])
+def test_answer_reads_only_the_exchanged_messages(name, request, answer_twice):
+    attack = request.getfixturevalue("sk1") if name == "sk:1" else strategy_from_name(name)
+    # sk:1 words land within 0.15 of each factor inverse, inside eta_err / 2
+    spec = IPGameSpec(8, 1, eta_err=0.3, eta_loss=0.3)
+    some_lost = False
+    for seed in range(4):
+        (first, second), lost = answer_twice(attack, spec, seed)
+        assert first == second
+        some_lost |= bool(lost.any())
+    # lost positions make with_fallback and the lossy drop mask draw
+    assert some_lost
+
+
+def test_sk_answer_replays_each_arrived_qubit_once(sk1):
+    spec = IPGameSpec(4, 1, eta_err=0.3)
+    kept = 0
+    for seed in range(3):
+        rng = RngStream(seed, 0)
+        challenge = gen_ip_challenge(spec, rng)
+        state, lost = apply_channel(
+            challenge.quantum_payload, ChannelModel(p_loss=0.3), rng
+        )
+        with mock.patch("qpv.attacks.ip._run_words", wraps=_run_words) as run:
+            sk1.run_trial(challenge, DeliveredPayload(state, lost), rng)
+        # one live chain per qubit, then one replay per qubit that arrived
+        assert run.call_count == spec.n + int((~lost).sum())
+        kept += int((~lost).sum())
+    assert 0 < kept < 3 * spec.n

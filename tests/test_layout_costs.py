@@ -1,6 +1,7 @@
 """Circuit layouts, the layout file format, and EPR cost formulas."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qpv.costs import (
 )
 from qpv.errors import ValidationError
 from qpv.layout import CircuitLayout, LayoutGate, load_layout, single_gate_layout
+from qpv.statevec import embed_operator
 
 
 def t_layer():
@@ -66,6 +68,19 @@ def test_layout_unitaries_compose_in_layer_order():
     assert np.allclose(layout.layer_unitary(0), gates.T)
     # layer 1 acts first, so H is the leftmost factor
     assert np.allclose(layout.composite_unitary(), gates.H @ gates.T)
+
+
+def test_composite_unitary_is_built_once_and_read_only():
+    layer = (LayoutGate(gates.T, (0,), 3), LayoutGate(gates.H, (1,), 2))
+    layout = CircuitLayout(2, (layer, (LayoutGate(gates.CNOT, (0, 1), 2),)))
+    with mock.patch("qpv.layout.embed_operator", wraps=embed_operator) as embed:
+        first = layout.composite_unitary()
+        assert layout.composite_unitary() is first
+    assert embed.call_count == 3
+    assert np.allclose(first, gates.CNOT @ np.kron(gates.T, gates.H))
+    # a trial holding the matrix cannot change it for the next trial
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.0
 
 
 def test_parallel_layer_unitary_is_tensor_product():
