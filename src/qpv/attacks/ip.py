@@ -266,7 +266,8 @@ class SkAttack(CoalitionStrategy):
         self.l0 = l0
         self.net = build_net(l0)
         if depth > 0:
-            # calibrate before any trial, so pooled trials never race to it
+            # check before any trial: a pinned net reads its constants and any
+            # other calibrates here, so pooled trials never race to calibrate
             self.net.ensure_convergent()
         # concatenation never lengthens words past the 5x recursion growth
         self.word_cap = l0 * 5**depth

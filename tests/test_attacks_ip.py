@@ -103,7 +103,8 @@ def test_sk_attack_calibrates_once_before_pooled_trials(monkeypatch):
         return calibrate(net)
 
     monkeypatch.setattr(sk_module, "_calibrate", counted)
-    attack = SkAttack(1, l0=10)
+    # l0 = 11 has no pinned constants, so its net calibrates when built
+    attack = SkAttack(1, l0=11)
     assert len(calls) == 1
     spec = IPGameSpec(2, 1, eta_err=0.5)
     stats = run_game(spec, attack, CLEAN, 4, RngStream(3, 0), threads=2)

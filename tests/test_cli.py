@@ -179,6 +179,24 @@ def test_sk_compile_rejects_a_non_unitary_matrix_file(tmp_path, capsys):
     assert "matrix is not unitary" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "l0, depth, prefix",
+    [
+        # l0 = 9 has no pinned constants: its net samples and calibrates
+        ("9", "1", "error=ConvergenceError:"),
+        ("17", "0", "error=ResourceError:"),
+        ("0", "0", "error=ValidationError:"),
+    ],
+)
+def test_sk_compile_rejects_a_bad_net_with_one_error_line(l0, depth, prefix, capsys):
+    assert main(["sk-compile", "T", "--l0", l0, "--depth", depth]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+
+
 def test_plot_prints_the_axes_and_exits_zero(tmp_path, capsys):
     config = tmp_path / "tiny.cfg"
     config.write_text(TINY_RUN)

@@ -8,12 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpv import gates
+from qpv import sk as sk_module
+from qpv.attacks import SkAttack, strategy_from_name
 from qpv.cli import main
 from qpv.errors import ConvergenceError, ValidationError
 from qpv.pauli import hierarchy_level
+from qpv.protocols import ChannelModel, IPGameSpec, run_game
 from qpv.rng import RngStream
 from qpv.sk import (
+    _CALIBRATION_SAMPLES,
+    _NET_SEED,
+    _PINNED,
+    _RADIUS_MARGIN,
     GateWord,
+    _calibrate,
+    _sample_covering_radius,
     _rotation,
     adjoint_letters,
     build_net,
@@ -121,8 +130,10 @@ def test_nearest_matches_the_oracle_on_every_entry(net10):
 
 # Bit-exactness pins, computed at the commit before the quaternion lookup and
 # the per-target calibration spine: both must leave every bit of these alone.
+# The l0 = 12 row was measured when the constants were pinned in qpv.sk.
 NET_CONSTANT_HEX = {
     10: ("0x1.f97aa567abcdfp-3", "0x1.22a6858202c99p-2", "0x1.538141bd067b1p+0"),
+    12: ("0x1.5ab1e663ccbbbp-3", "0x1.8eb2fc25f83e3p-3", "0x1.c263a28717ed1p+0"),
     14: ("0x1.30e2ba56855f6p-3", "0x1.5e9e5649e62dap-3", "0x1.c6f0ac3a8dcb6p+0"),
 }
 SK_COMPILE_SHA256 = {
@@ -133,11 +144,62 @@ SK_COMPILE_SHA256 = {
 
 @pytest.mark.parametrize("l0", sorted(NET_CONSTANT_HEX))
 def test_net_constants_match_their_frozen_bits(l0):
+    # recompute through the sampling code: build_net(l0) would read the pin back
     net = build_net(l0)
-    cal = net.calibration
-    got = (net.covering_radius.hex(), net.radius_bound.hex(), cal.commutator_constant.hex())
+    pin = _PINNED[(l0, _NET_SEED, 1000, _CALIBRATION_SAMPLES)]
+    radius = _sample_covering_radius(net, RngStream(_NET_SEED, 0), 1000)
+    net.covering_radius = radius
+    net.radius_bound = _RADIUS_MARGIN * radius
+    cal = _calibrate(net)
+    got = (radius.hex(), net.radius_bound.hex(), cal.commutator_constant.hex())
     assert got == NET_CONSTANT_HEX[l0]
+    assert got == pin
     assert cal.radius_bound == net.radius_bound
+    assert cal.samples == _CALIBRATION_SAMPLES
+    pinned = build_net(l0)
+    assert pinned.calibration == cal
+    assert (pinned.covering_radius, pinned.radius_bound) == (radius, net.radius_bound)
+
+
+def refuse(*args):
+    raise AssertionError("a pinned net must not sample its constants")
+
+
+def test_pinned_nets_skip_the_sampling_code(monkeypatch, capsys):
+    monkeypatch.setattr(sk_module, "_calibrate", refuse)
+    monkeypatch.setattr(sk_module, "_sample_covering_radius", refuse)
+    attack = SkAttack(2)
+    assert attack.net.calibration.is_convergent()
+    spec = IPGameSpec(4, 1, eta_err=0.1)
+    stats = run_game(spec, strategy_from_name("sk:2"), ChannelModel(), 2, RngStream(5, 0))
+    assert stats.trials == 2
+    assert main(["sk-compile", "T", "--depth", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SK_COMPILE_SHA256[("T", "2")]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"radius_samples": 200}, {"rng": RngStream(_NET_SEED, 0)}], ids=["samples", "rng"]
+)
+def test_unpinned_nets_run_the_sampling_code(monkeypatch, kwargs):
+    calls = []
+    sample, calibrate = sk_module._sample_covering_radius, sk_module._calibrate
+
+    def counted_sample(net, rng, samples):
+        calls.append(("radius", samples))
+        return sample(net, rng, samples)
+
+    def counted_calibrate(net):
+        calls.append(("calibrate", net))
+        return calibrate(net)
+
+    monkeypatch.setattr(sk_module, "_sample_covering_radius", counted_sample)
+    monkeypatch.setattr(sk_module, "_calibrate", counted_calibrate)
+    net = build_net(10, **kwargs)
+    assert calls == [("radius", kwargs.get("radius_samples", 1000))]
+    cal = net.calibration
+    assert calls[1:] == [("calibrate", net)]
+    assert cal.radius_bound >= net.radius_bound
 
 
 @pytest.mark.parametrize("gate, depth", sorted(SK_COMPILE_SHA256))
