@@ -48,13 +48,8 @@ from ..pauli import (
 from ..protocols import Challenge, IpShare, reconstruct_ip_unitary, render_answer
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
-from ..statevec import (
-    DensityMatrix,
-    StateVector,
-    haar_qubit_batch,
-    phase_invariant_distance,
-)
-from ..teleport import build_pbt_channel, pbt_teleport, pbt_teleport_density
+from ..statevec import haar_qubit_batch, phase_invariant_distance
+from ..teleport import build_pbt_channel
 from .base import (
     ALICE,
     BOB,
@@ -90,8 +85,11 @@ class PbtAttack(CoalitionStrategy):
     so consumed equals reserved.
 
     Each hop either completes (probability q_m) or depolarizes by p_m (see
-    PbtChannel), and depolarizing commutes with the factors, so on a clean
-    channel each qubit is wrong with probability exactly
+    PbtChannel). Depolarizing commutes with the factor inverses, so a qubit
+    that survives every hop is the pure state psi = W |input>, W the product
+    of the inverses, mixed with I/2 at visibility P = prod_h p_{m_h}, and it
+    reads 1 with probability P |psi_1|^2 + (1 - P)/2. No density matrix is
+    needed. On a clean channel each qubit is wrong with probability exactly
     e = 1/2 - 1/2 prod_h (1 - q_{m_h}) p_{m_h}: 0.0626 for pbt:8 and
     0.16521 for pbt:8,8,8.
     """
@@ -119,36 +117,39 @@ class PbtAttack(CoalitionStrategy):
         lost = np.asarray(delivered.lost, dtype=bool)
         trial.alice["lost"] = lost
 
+        amps = delivered.states.amps
         bits = np.full(challenge.n, _HOP_FAILED, dtype=np.uint8)
         for q in np.flatnonzero(~lost):
-            bits[q] = self._run_qubit(challenge, delivered.states.qubit(q), q, rng)
+            bits[q] = self._run_qubit(challenge, amps[q], q, rng)
         trial.bob["bits"] = bits
         return trial
 
     def _run_qubit(
-        self, challenge: Challenge, qubit: StateVector, q: int, rng: RngStream
+        self, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
     ) -> int:
         """Realized-path chain for one qubit; _HOP_FAILED when any hop failed."""
+        p1 = self._survivor_p1(challenge, amps, q, rng)
+        if p1 is None:
+            return _HOP_FAILED
+        return int(rng.random() < p1)
+
+    def _survivor_p1(
+        self, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
+    ) -> float | None:
+        """Draw every hop's outcome; P(1) at the end, None when a hop failed."""
         u = _share_factors(challenge.v0_classical, q)
         v = _share_factors(challenge.v1_classical, q)
-        t = u.shape[0]
-        state: StateVector | DensityMatrix = StateVector(
-            u[0].conj().T @ qubit.amps
-        )
+        psi = u[0].conj().T @ amps
+        visibility = 1.0
         for h, m in enumerate(self.ports):
             channel = self._channels[m]
-            if isinstance(state, StateVector):
-                res = pbt_teleport(state, channel, rng)
-            else:
-                res = pbt_teleport_density(state, channel, rng)
-            if res.port is None:
-                return _HOP_FAILED
+            if channel.draw_outcome(rng) == m:
+                return None
             # hops 0, 2, 4, ... land at Bob (strips v_{h/2+1}); odd at Alice
             factor = v[h // 2] if h % 2 == 0 else u[h // 2 + 1]
-            g = factor.conj().T
-            state = DensityMatrix(g @ res.receiver.mat @ g.conj().T, check=False)
-        p1 = float(state.mat[1, 1].real)
-        return int(rng.random() < min(max(p1, 0.0), 1.0))
+            psi = factor.conj().T @ psi
+            visibility *= channel.depolarizing
+        return visibility * float(abs(psi[1]) ** 2) + (1.0 - visibility) / 2.0
 
     def round1_alice(self, trial) -> dict:
         return {"lost": trial.alice["lost"]}

@@ -52,7 +52,7 @@ from .statevec import (
     StateVector,
     apply_unitary,
     check_unitary,
-    haar_qubit_batch,
+    haar_qubit_stack,
     haar_random_unitary,
     measure_computational,
     phase_invariant_distance,
@@ -239,13 +239,13 @@ def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
     """Sample u_1..u_t and v_1..v_{t-1} Haar; v_t closes the product to U."""
     x = rng.bits(spec.n)
     copies = spec.n if spec.per_qubit_unitaries else 1
-    u_all = np.empty((spec.t, copies, 2, 2), dtype=np.complex128)
-    v_all = np.empty((spec.t, copies, 2, 2), dtype=np.complex128)
-    target = haar_qubit_batch(copies, rng)
-    for i in range(spec.t):
-        u_all[i] = haar_qubit_batch(copies, rng)
-        if i < spec.t - 1:
-            v_all[i] = haar_qubit_batch(copies, rng)
+    # drawn in the order target, u_1, v_1, u_2, ..., v_{t-1}, u_t, and
+    # copied out so the challenge does not hold on to the whole draw
+    draws = haar_qubit_stack(2 * spec.t, copies, rng)
+    target = draws[0].copy()
+    u_all = draws[1::2].copy()
+    v_all = np.empty_like(u_all)
+    v_all[: spec.t - 1] = draws[2::2]
     for q in range(copies):
         prefix = np.eye(2, dtype=np.complex128)
         for i in range(spec.t - 1):

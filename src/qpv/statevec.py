@@ -286,15 +286,27 @@ def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def haar_qubit_batch(count: int, rng: RngStream) -> np.ndarray:
-    """Stack of `count` independent Haar 2x2 unitaries, shape (count, 2, 2)."""
+def haar_qubit_stack(calls: int, count: int, rng: RngStream) -> np.ndarray:
+    """`calls` stacks of `count` Haar 2x2 unitaries, shape (calls, count, 2, 2).
+
+    One normal draw laid out as (call, re/im, count, 2, 2) takes each
+    call's real parts, then its imaginary parts, so stack k holds the bits
+    of the k-th of `calls` successive haar_qubit_batch(count) draws.
+    """
+    if calls < 1:
+        raise ValidationError("calls must be at least 1")
     if count < 1:
         raise ValidationError("count must be at least 1")
-    g = rng.generator
-    z = (g.standard_normal((count, 2, 2)) + 1j * g.standard_normal((count, 2, 2))) / np.sqrt(2.0)
+    g = rng.generator.standard_normal((calls, 2, count, 2, 2))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_qubit_batch(count: int, rng: RngStream) -> np.ndarray:
+    """Stack of `count` independent Haar 2x2 unitaries, shape (count, 2, 2)."""
+    return haar_qubit_stack(1, count, rng)[0]
 
 
 def haar_random_state(n: int, rng: RngStream) -> StateVector:

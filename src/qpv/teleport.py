@@ -12,13 +12,15 @@ Hiroshima, PRL 101, 240501, 2008; Beigi & Koenig, NJP 13, 093036, 2011):
 the completion outcome fires with probability q_N = (N+2)/2^(N+1) whatever
 the input, each port with (1-q_N)/N, and the receiver at the fired port
 holds the input depolarized, p_N rho + (1-p_N) I/2. So a channel is two
-constants, and one use is one outcome draw and a 2x2 mixture at any N.
+constants, and one use is one uniform draw against the outcome CDF. A chain
+of hops only multiplies the visibilities p_N of the hops that succeed.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,6 +131,9 @@ def teleport_gate(state: StateVector, u: np.ndarray, rng: RngStream) -> GateTele
     return GateTeleportResult(out, correction, shifted, n)
 
 
+_PROB_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 @dataclass(frozen=True)
 class PbtChannel:
     """Square-root-measurement port teleportation of one qubit, in closed form.
@@ -137,13 +142,31 @@ class PbtChannel:
     probability (1-q_N)/N, whatever the input. depolarizing is p_N: the
     receiver at the fired port holds p_N rho + (1-p_N) I/2 (Ishizaka &
     Hiroshima, PRL 101, 240501, 2008). outcome_probs lists the N ports,
-    then the completion outcome.
+    then the completion outcome; they are checked once, here, and cdf is
+    their running sum scaled to end at 1.
     """
 
     num_ports: int
     completion_probability: float
     depolarizing: float
     outcome_probs: tuple[float, ...]
+    cdf: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        p = np.asarray(self.outcome_probs, dtype=np.float64)
+        if p.shape != (self.num_ports + 1,):
+            raise ValidationError("need one probability per port and one for completion")
+        # the tolerance Generator.choice applies to its p
+        if not np.all(p >= 0.0) or abs(math.fsum(p) - 1.0) > _PROB_ATOL:
+            raise ValidationError("outcome probabilities must be non-negative and sum to 1")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        object.__setattr__(self, "cdf", tuple(cdf.tolist()))
+
+    def draw_outcome(self, rng: RngStream) -> int:
+        """Fired port, or num_ports for completion: the draw and the index
+        of Generator.choice(num_ports + 1, p=outcome_probs)."""
+        return bisect.bisect_right(self.cdf, rng.random())
 
     @property
     def average_fidelity(self) -> float:
@@ -190,7 +213,7 @@ _HALF_IDENTITY = np.eye(2, dtype=np.complex128) / 2.0
 def _pbt_hop(rho: np.ndarray, channel: PbtChannel, rng: RngStream) -> PbtResult:
     """One port-teleportation use: draw the outcome, depolarize on success."""
     n = channel.num_ports
-    port = int(rng.choice(n + 1, p=channel.outcome_probs))
+    port = channel.draw_outcome(rng)
     if port == n:
         return PbtResult(None, DensityMatrix.maximally_mixed(1), n)
     p = channel.depolarizing

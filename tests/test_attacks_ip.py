@@ -15,7 +15,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
-from qpv.attacks.ip import _run_words
+from qpv.attacks.ip import _HOP_FAILED, _run_words, _share_factors
 from qpv import sk as sk_module
 from qpv.costs import sk_cost
 from qpv.errors import StrategyError, ValidationError
@@ -30,7 +30,8 @@ from qpv.protocols import (
     run_game,
 )
 from qpv.rng import RngStream
-from qpv.teleport import build_pbt_channel
+from qpv.statevec import DensityMatrix, StateVector
+from qpv.teleport import build_pbt_channel, pbt_teleport, pbt_teleport_density
 
 CLEAN = ChannelModel()
 
@@ -215,6 +216,52 @@ def test_pbt_attack_error_rate_is_exact():
         # each qubit is wrong independently, so the count is Binomial(n, e)
         stderr = math.sqrt(n * e * (1 - e) / trials)
         assert abs(stats.mean_error_count - n * e) < 4 * stderr
+
+
+def _density_run_qubit(attack, challenge, qubit, q, rng):
+    """The PBT chain hop by hop on the receiver's density matrix: (bit, p1),
+    p1 None when a hop failed. Oracle for the scalar-visibility run."""
+    u = _share_factors(challenge.v0_classical, q)
+    v = _share_factors(challenge.v1_classical, q)
+    state = StateVector(u[0].conj().T @ qubit.amps)
+    for h, m in enumerate(attack.ports):
+        channel = build_pbt_channel(m)
+        if isinstance(state, StateVector):
+            res = pbt_teleport(state, channel, rng)
+        else:
+            res = pbt_teleport_density(state, channel, rng)
+        if res.port is None:
+            return _HOP_FAILED, None
+        factor = v[h // 2] if h % 2 == 0 else u[h // 2 + 1]
+        g = factor.conj().T
+        state = DensityMatrix(g @ res.receiver.mat @ g.conj().T)
+    p1 = float(state.mat[1, 1].real)
+    return int(rng.random() < min(max(p1, 0.0), 1.0)), p1
+
+
+@pytest.mark.parametrize(
+    "ports, t", [((8, 8, 8), 2), ((4, 6, 8, 4, 8), 3)], ids=["pbt-8-8-8", "pbt-4-6-8-4-8"]
+)
+def test_pbt_run_matches_the_density_matrix_oracle(ports, t):
+    n = 2000
+    spec = IPGameSpec(n, t, eta_err=0.5, per_qubit_unitaries=True)
+    challenge = gen_ip_challenge(spec, RngStream(47, 0))
+    amps = challenge.quantum_payload.amps
+    attack = PbtAttack(ports)
+    bits = []
+    for q in range(n):
+        bit = attack._run_qubit(challenge, amps[q], q, RngStream(53, 1 + q))
+        want, want_p1 = _density_run_qubit(
+            attack, challenge, StateVector(amps[q]), q, RngStream(53, 1 + q)
+        )
+        assert bit == want
+        p1 = attack._survivor_p1(challenge, amps[q], q, RngStream(53, 1 + q))
+        assert (p1 is None) == (want_p1 is None)
+        if p1 is not None:
+            assert abs(p1 - want_p1) < 1e-12
+        bits.append(bit)
+    # both outcomes and failed hops all occur, so every branch is compared
+    assert {0, 1, _HOP_FAILED} <= set(bits)
 
 
 def test_sk_attack_undoes_an_x_type_residue():

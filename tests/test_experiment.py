@@ -185,10 +185,10 @@ def _basis(actor, family, n, p_loss, trials, **keys):
 T_PAIR_CNOT = Path(__file__).parent / "layouts" / "t_pair_cnot.json"
 
 
-def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials):
+def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials, **keys):
     return _config(
         game="ip", n=n, t=t, actor=actor, eta_err=eta_err, eta_loss=eta_loss,
-        p_loss=p_loss, trials=trials, seed=3,
+        p_loss=p_loss, trials=trials, seed=3, **keys,
     )
 
 
@@ -247,6 +247,32 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials):
             _ip("pbt:3", 6, 1, 0.4, 0.5, 0.2, 60),
             "833f8298cc73f0b847ad05ee11df9b70b59891eaec896126b8c26f7d53d0c716",
             id="pbt-3",
+        ),
+        pytest.param(
+            _config(
+                game="ip", n=300, actor="honest", t=3, p_loss=0.05, p_dep=0.05,
+                trials=5, seed=11, per_qubit_unitaries="true",
+            ),
+            "d60325c23c7b01fc8f3990402cbf9d76fc7832554859014f2807d4ddeb97f843",
+            id="honest-ip-per-qubit",
+        ),
+        pytest.param(
+            _ip("pbt:4,6,8", 6, 2, 0.4, 0.5, 0.2, 60),
+            "4e9134ce1f46b79d6ea85f07a6a1b4df8414e6cb37947281adb0f602e8625fcf",
+            id="pbt-4-6-8",
+        ),
+        pytest.param(
+            _ip("pbt:4,6,8", 6, 2, 0.4, 0.5, 0.2, 60, per_qubit_unitaries="true"),
+            "020673dcca6f40fb8d532304bd7d087b544d3c4f04fd08343ee91224e38a1bae",
+            id="pbt-4-6-8-per-qubit",
+        ),
+        pytest.param(
+            _config(
+                game="ip", n=8, t=3, actor="pbt:8,8,8,8,8", eta_err=0.5, p_dep=0.1,
+                trials=40, seed=3,
+            ),
+            "60da959e6c6f832b35bfe181c30302d527a048e744a1ceb4c2b55c4bd0633da5",
+            id="pbt-8x5-depolarized",
         ),
         pytest.param(
             _ip("sk:1", 4, 1, 0.2, 0.5, 0.2, 10),

@@ -19,6 +19,7 @@ from qpv.statevec import (
     embed_operator,
     fidelity,
     haar_qubit_batch,
+    haar_qubit_stack,
     haar_random_state,
     haar_random_unitary,
     index_of_bits,
@@ -149,6 +150,34 @@ def test_haar_qubit_batch_is_a_unitary_stack():
     assert batch.shape == (64, 2, 2)
     prods = np.einsum("qij,qkj->qik", batch, batch.conj())
     assert np.allclose(prods, np.eye(2), atol=1e-10)
+
+
+def test_haar_qubit_batch_keeps_its_two_draw_bits():
+    # the real parts of the whole block, then the imaginary parts, then one
+    # stacked QR with the R diagonal's phases moved into Q
+    g = RngStream(29, 1).generator
+    z = (g.standard_normal((7, 2, 2)) + 1j * g.standard_normal((7, 2, 2))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    want = q * (d / np.abs(d))[:, None, :]
+    assert haar_qubit_batch(7, RngStream(29, 1)).tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.integers(1, 16), st.integers(0, 2**16 - 1))
+def test_haar_qubit_stack_matches_successive_batches(calls, count, seed):
+    stack = haar_qubit_stack(calls, count, RngStream(seed, 1))
+    rng = RngStream(seed, 1)
+    batches = np.stack([haar_qubit_batch(count, rng) for _ in range(calls)])
+    assert stack.shape == (calls, count, 2, 2)
+    assert stack.tobytes() == batches.tobytes()
+
+
+def test_haar_qubit_stack_rejects_empty_shapes():
+    with pytest.raises(ValidationError):
+        haar_qubit_stack(0, 4, RngStream(1, 0))
+    with pytest.raises(ValidationError):
+        haar_qubit_stack(2, 0, RngStream(1, 0))
 
 
 def test_phase_invariant_distance_values():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpv import gates
 from qpv.costs import pbt_fidelity_bound
@@ -17,6 +19,7 @@ from qpv.statevec import (
     partial_trace_matrix,
 )
 from qpv.teleport import (
+    PbtChannel,
     build_pbt_channel,
     pbt_fidelity_curve,
     pbt_teleport,
@@ -149,6 +152,30 @@ def test_pbt_constants_in_closed_form():
 def test_pbt_channel_rejects_bad_port_counts():
     with pytest.raises(ValidationError):
         build_pbt_channel(1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(2, 16), st.integers(0, 2**16 - 1))
+def test_pbt_outcome_draw_matches_generator_choice(ports, seed):
+    ch = build_pbt_channel(ports)
+    live, ref = RngStream(seed, 1), RngStream(seed, 1)
+    for _ in range(64):
+        want = int(ref.generator.choice(ports + 1, p=ch.outcome_probs))
+        assert ch.draw_outcome(live) == want
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [
+        (0.3, 0.3, 0.3, 0.3, 0.1),  # sums to 1.3
+        (0.6, 0.6, -0.2, 0.0, 0.0),  # a negative entry
+        (0.25, 0.25, 0.25, float("nan"), 0.25),
+        (0.5, 0.5),  # no entry for ports 2..4
+    ],
+)
+def test_pbt_channel_refuses_bad_outcome_probabilities(probs):
+    with pytest.raises(ValidationError):
+        PbtChannel(4, 0.1875, 0.5, probs)
 
 
 def test_pbt_channel_at_large_port_counts():
