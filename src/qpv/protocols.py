@@ -55,7 +55,7 @@ from .statevec import (
     haar_qubit_stack,
     haar_random_unitary,
     measure_computational,
-    phase_invariant_distance,
+    qubit_phase_distances,
 )
 
 EMPTY_SYMBOL = "-"
@@ -246,15 +246,15 @@ def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
     u_all = draws[1::2].copy()
     v_all = np.empty_like(u_all)
     v_all[: spec.t - 1] = draws[2::2]
-    for q in range(copies):
-        prefix = np.eye(2, dtype=np.complex128)
-        for i in range(spec.t - 1):
-            prefix = prefix @ u_all[i, q] @ v_all[i, q]
-        prefix = prefix @ u_all[spec.t - 1, q]
-        v_all[spec.t - 1, q] = prefix.conj().T @ target[q]
-        product = prefix @ v_all[spec.t - 1, q]
-        if phase_invariant_distance(product, target[q]) > 1e-9:
-            raise ValidationError("interleaved product failed to close")
+    # one stacked 2x2 product per copy
+    prefix = np.eye(2, dtype=np.complex128)
+    for i in range(spec.t - 1):
+        prefix = prefix @ u_all[i] @ v_all[i]
+    prefix = prefix @ u_all[spec.t - 1]
+    v_all[spec.t - 1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
+    product = prefix @ v_all[spec.t - 1]
+    if not np.all(qubit_phase_distances(target, product) <= 1e-9):
+        raise ValidationError("interleaved product failed to close")
     # U|x_q> is column x_q of the qubit's unitary, so row x_q of U^T
     if spec.per_qubit_unitaries:
         columns = target[np.arange(spec.n), :, x]

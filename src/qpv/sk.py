@@ -23,6 +23,10 @@ a matrix-vector product with the net's stacked quaternions; the distance is
 then evaluated on the chosen entry alone. The recursion for a target at depth
 d computes its words at every depth below d on the way, and calibration reads
 that whole spine once per target instead of recompiling each depth.
+
+The net itself is enumerated one word length at a time: each level is one
+stacked matrix product and one vectorised dedup key, so its cost is a handful
+of numpy calls per level rather than a few per word.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ _CALIBRATION_SAMPLES = 64
 # entries whose overlap is this close to the best are scored by the distance
 # formula; it need only exceed the rounding of the overlap and of that formula
 _TIE_TOLERANCE = 1e-9
+# a net entry's dedup key: eight int64 components
+_KEY_BYTES = 64
 # float.hex of (covering_radius, radius_bound, commutator_constant), keyed by
 # (l0, _NET_SEED, radius_samples, _CALIBRATION_SAMPLES): what
 # _sample_covering_radius and _calibrate measure for the default nets
@@ -147,12 +153,22 @@ def pad_to_length(word: GateWord, length: int) -> GateWord:
     return GateWord(word.letters + ("I",) * (length - word.length), word.unitary)
 
 
-def _canonical_key(m: np.ndarray) -> bytes:
-    s = to_su2(m)
-    v = s.reshape(-1).view(np.float64).copy()
-    pivot = int(np.argmax(np.abs(v) > 0.35))
-    if v[pivot] < 0:
-        v = -v
+def _canonical_keys(stack: np.ndarray) -> bytes:
+    """Dedup keys of a stack of 2x2 unitaries, _KEY_BYTES per matrix, back to back.
+
+    A matrix's key is its SU(2) form up to sign, rounded to 1e-7: the sign is
+    fixed by the first of the eight real components above 0.35 in magnitude.
+    One bytes object rather than one per matrix: a caller that slices out
+    each key as it needs it frees a rejected key right away, instead of
+    holding a level's worth of small objects that fragment the heap.
+    """
+    det = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
+    if np.any(np.abs(np.abs(det) - 1.0) > 1e-8):
+        raise ValidationError("matrix is not unitary")
+    v = (stack * np.exp(-0.5j * np.angle(det))[:, None, None]).view(np.float64).reshape(len(stack), 8)
+    pivot = np.argmax(np.abs(v) > 0.35, axis=1)
+    flip = v[np.arange(len(v)), pivot] < 0
+    v = np.where(flip[:, None], -v, v)
     return np.round(v * 1e7).astype(np.int64).tobytes()
 
 
@@ -261,6 +277,9 @@ class EpsilonNet:
 def build_net(l0: int, rng: RngStream | None = None, radius_samples: int = 1000) -> EpsilonNet:
     """Enumerate all freely reduced words up to length l0 and dedup products.
 
+    Words are built one length at a time: the level's candidates are one
+    stacked product of the last level's admitted matrices with each letter,
+    keyed together by _canonical_keys, and admitted in word-then-letter order.
     A default net (no rng, a pinned l0 and sample count) takes its covering
     radius and calibration from _PINNED; any other samples its radius on
     radius_samples Haar targets and calibrates on first use.
@@ -270,29 +289,33 @@ def build_net(l0: int, rng: RngStream | None = None, radius_samples: int = 1000)
     if l0 > 16:
         raise ResourceError("base length above 16 is past desk scale")
 
-    seen: dict[bytes, None] = {}
-    entries: list[tuple[GateWord, np.ndarray]] = []
-
-    def admit(letters: tuple[str, ...], matrix: np.ndarray) -> bool:
-        key = _canonical_key(matrix)
-        if key in seen:
-            return False
-        seen[key] = None
-        entries.append((GateWord(letters, matrix), matrix))
-        return True
-
-    admit((), np.eye(2, dtype=np.complex128))
-    frontier: list[tuple[tuple[str, ...], np.ndarray]] = [((), np.eye(2, dtype=np.complex128))]
+    letters_of = ("H", "T", "Tdg")
+    words: list[tuple[str, ...]] = [()]
+    frontier = np.eye(2, dtype=np.complex128)[None]
+    seen = {_canonical_keys(frontier): None}
+    entries = [(GateWord((), matrix), matrix) for matrix in frontier]
     for _ in range(l0):
-        nxt = []
-        for letters, matrix in frontier:
-            for letter in ("H", "T", "Tdg"):
-                if letters and _INVERSE_LETTER[letters[-1]] == letter:
-                    continue
-                cand = (letters + (letter,), matrix @ LETTER_MATRICES[letter])
-                if admit(*cand):
-                    nxt.append(cand)
-        frontier = nxt
+        # row 3f + k is frontier word f followed by letter k, the serial order
+        cands = np.stack([frontier @ LETTER_MATRICES[g] for g in letters_of], axis=1).reshape(-1, 2, 2)
+        keys = _canonical_keys(cands)
+        keep: list[int] = []
+        nxt: list[tuple[str, ...]] = []
+        for j in range(len(cands)):
+            letters = words[j // 3]
+            letter = letters_of[j % 3]
+            if letters and _INVERSE_LETTER[letters[-1]] == letter:
+                continue
+            key = keys[_KEY_BYTES * j : _KEY_BYTES * (j + 1)]
+            if key in seen:
+                continue
+            seen[key] = None
+            keep.append(j)
+            nxt.append(letters + (letter,))
+        # a copy, so the entries do not keep the rejected candidates alive
+        frontier = cands[np.array(keep, dtype=np.intp)]
+        words = nxt
+        for letters, matrix in zip(words, frontier):
+            entries.append((GateWord(letters, matrix), matrix))
 
     key = (l0, _NET_SEED, radius_samples, _CALIBRATION_SAMPLES)
     if rng is None and key in _PINNED:

@@ -264,6 +264,24 @@ def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(2.0 * np.sin(width / 4.0))
 
 
+def qubit_phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """phase_invariant_distance of each pair of 2x2 unitaries in two stacks.
+
+    The eigenvalues of W = U^dag V differ by sqrt(disc), disc = (w00 - w11)^2
+    + 4 w01 w10, so their arc is w = 2 arcsin(|sqrt(disc)| / 2), with no
+    eigensolver. Unlike sqrt(2 - |tr W|), this keeps full precision as the
+    distance goes to 0.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    if u.shape != v.shape or u.shape[-2:] != (2, 2):
+        raise ValidationError("operands must be stacks of 2x2 matrices of equal shape")
+    w = np.conj(np.swapaxes(u, -1, -2)) @ v
+    disc = (w[..., 0, 0] - w[..., 1, 1]) ** 2 + 4.0 * w[..., 0, 1] * w[..., 1, 0]
+    half_gap = np.minimum(np.sqrt(np.abs(disc)) / 2.0, 1.0)
+    return 2.0 * np.sin(np.arcsin(half_gap) / 2.0)
+
+
 def fidelity(pure: StateVector, other) -> float:
     """<psi|rho|psi> against a DensityMatrix, or |<psi|phi>|^2 against a pure state."""
     if isinstance(other, StateVector):

@@ -16,7 +16,7 @@ from qpv.sk import build_net
 
 @pytest.fixture(scope="session")
 def net10():
-    # small net shared by the compiler tests; building it is the slow part
+    # small net shared by the compiler tests, built once per session
     return build_net(10)
 
 

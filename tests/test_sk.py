@@ -19,9 +19,13 @@ from qpv.sk import (
     _CALIBRATION_SAMPLES,
     _NET_SEED,
     _PINNED,
+    _INVERSE_LETTER,
+    _KEY_BYTES,
     _RADIUS_MARGIN,
+    LETTER_MATRICES,
     GateWord,
     _calibrate,
+    _canonical_keys,
     _sample_covering_radius,
     _rotation,
     adjoint_letters,
@@ -71,6 +75,72 @@ def test_net_build_matches_frozen_oracle(net10):
     assert len(net10) == NET_ORACLE[10][0]
     assert abs(net10.covering_radius - NET_ORACLE[10][1]) < 5e-4
     assert net10.base_length == 10
+
+
+def _serial_key(m):
+    # the per-matrix dedup key that build_net used before it keyed whole levels
+    s = to_su2(m)
+    v = s.reshape(-1).view(np.float64).copy()
+    pivot = int(np.argmax(np.abs(v) > 0.35))
+    if v[pivot] < 0:
+        v = -v
+    return np.round(v * 1e7).astype(np.int64).tobytes()
+
+
+def _serial_entries(l0):
+    """The word-at-a-time enumeration that build_net's level-at-a-time one replaces."""
+    seen = {}
+    entries = []
+
+    def admit(letters, matrix):
+        key = _serial_key(matrix)
+        if key in seen:
+            return False
+        seen[key] = None
+        entries.append((letters, matrix))
+        return True
+
+    admit((), np.eye(2, dtype=np.complex128))
+    frontier = [((), np.eye(2, dtype=np.complex128))]
+    for _ in range(l0):
+        nxt = []
+        for letters, matrix in frontier:
+            for letter in ("H", "T", "Tdg"):
+                if letters and _INVERSE_LETTER[letters[-1]] == letter:
+                    continue
+                cand = (letters + (letter,), matrix @ LETTER_MATRICES[letter])
+                if admit(*cand):
+                    nxt.append(cand)
+        frontier = nxt
+    return entries
+
+
+@pytest.mark.parametrize("l0", range(1, 15))
+def test_net_entries_match_the_serial_enumeration(l0):
+    net = build_net(l0, radius_samples=1)
+    want = _serial_entries(l0)
+    assert [w.letters for w, _ in net.entries] == [letters for letters, _ in want]
+    for (word, matrix), (_, want_matrix) in zip(net.entries, want):
+        assert word.unitary is matrix
+        assert matrix.tobytes() == want_matrix.tobytes()
+
+
+# sha256 over every entry's letters and matrix bytes, in net order, measured
+# with the word-at-a-time enumeration
+NET_ENTRIES_SHA256 = {
+    10: ("98dae4b9509ea80bbbcde176913f6b7294f6892e4066e4793f19335b9ded73b8", 812),
+    12: ("7ab5df082d7e19dbb0eb8cb7d67a4e9d88083679ed9c1a99c85c03cca4865b90", 1672),
+    14: ("ac8e5546e879a292c6189d2a41f299ada34f99097fb838762776b2a173e4291f", 3404),
+}
+
+
+@pytest.mark.parametrize("l0", sorted(NET_ENTRIES_SHA256))
+def test_net_entries_match_their_frozen_digest(l0):
+    net = build_net(l0)
+    digest = hashlib.sha256()
+    for word, matrix in net.entries:
+        digest.update(" ".join(word.letters).encode() + b"|" + matrix.tobytes())
+    assert (digest.hexdigest(), len(net)) == NET_ENTRIES_SHA256[l0]
 
 
 def test_net_nearest_returns_exact_hits(net10):
@@ -126,6 +196,49 @@ def test_nearest_matches_the_whole_stack_oracle(net10, u):
 def test_nearest_matches_the_oracle_on_every_entry(net10):
     for _, matrix in net10.entries:
         assert_matches_oracle(net10, matrix)
+
+
+def _threshold_matrix(a, flip_rows):
+    # real SU(2) element with an entry of exactly +-0.35, the pivot threshold
+    b = np.sqrt(1.0 - a * a)
+    m = np.array([[a, -b], [b, a]], dtype=np.complex128)
+    return m[::-1] if flip_rows else m
+
+
+def _sparse_matrix(a, b, anti):
+    # diagonal or antidiagonal unitary: exact zeros among the components
+    d = np.array([np.exp(1j * a), np.exp(1j * b)])
+    return np.fliplr(np.diag(d)) if anti else np.diag(d)
+
+
+key_matrices = st.one_of(
+    haar_targets,
+    st.builds(
+        lambda u, phase: np.exp(1j * phase) * u, haar_targets, st.floats(0.0, 2 * np.pi)
+    ),
+    st.builds(_threshold_matrix, st.sampled_from([0.35, -0.35]), st.booleans()),
+    st.builds(
+        _sparse_matrix,
+        st.sampled_from([0.0, np.pi / 2, np.pi, -np.pi / 4]) | st.floats(-np.pi, np.pi),
+        st.sampled_from([0.0, np.pi / 2, np.pi]) | st.floats(-np.pi, np.pi),
+        st.booleans(),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(key_matrices, min_size=1, max_size=6))
+def test_canonical_keys_match_the_per_matrix_key(matrices):
+    keys = _canonical_keys(np.stack(matrices))
+    assert keys == b"".join(_serial_key(m) for m in matrices)
+    assert len(keys) == _KEY_BYTES * len(matrices)
+
+
+def test_canonical_keys_refuse_non_unitary_rows_and_accept_empty_stacks():
+    stack = np.stack([np.eye(2), 1.5 * gates.H, gates.T]).astype(np.complex128)
+    with pytest.raises(ValidationError, match="not unitary"):
+        _canonical_keys(stack)
+    assert _canonical_keys(np.empty((0, 2, 2), dtype=np.complex128)) == b""
 
 
 # Bit-exactness pins, computed at the commit before the quaternion lookup and

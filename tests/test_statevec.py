@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qpv import gates
 from qpv.errors import ValidationError
 from qpv.rng import RngStream
+from qpv.sk import _rotation
 from qpv.statevec import (
     DensityMatrix,
     QubitArray,
@@ -27,6 +28,7 @@ from qpv.statevec import (
     move_qubit,
     partial_trace,
     phase_invariant_distance,
+    qubit_phase_distances,
 )
 
 
@@ -186,6 +188,29 @@ def test_phase_invariant_distance_values():
     # eigenphases of T are {0, pi/4}: arc width pi/4, distance 2 sin(pi/16)
     expected = 2 * np.sin(np.pi / 16)
     assert abs(phase_invariant_distance(np.eye(2), gates.T) - expected) < 1e-12
+
+
+def _near(u, axis, angle, phase):
+    # U times a rotation by `angle` about `axis`, times a global phase
+    return np.exp(1j * phase) * u @ _rotation(axis / np.linalg.norm(axis), angle)
+
+
+def test_qubit_phase_distances_match_the_eigenvalue_form():
+    rng = RngStream(47, 0)
+    haar = haar_qubit_stack(2, 200, rng)
+    us, vs = list(haar[0]), list(haar[1])
+    for angle in np.geomspace(1e-10, 1e-3, 40):
+        u = haar_random_unitary(2, rng)
+        us.append(u)
+        vs.append(_near(u, rng.standard_normal(3), angle, 2 * np.pi * rng.random()))
+    got = qubit_phase_distances(np.stack(us), np.stack(vs))
+    want = np.array([phase_invariant_distance(u, v) for u, v in zip(us, vs)])
+    assert np.max(np.abs(got - want)) < 1e-12
+    # a rotation by theta sits 2 sin(theta / 4) from the identity
+    assert np.allclose(got[200:], 2 * np.sin(np.geomspace(1e-10, 1e-3, 40) / 4), rtol=1e-5)
+    assert qubit_phase_distances(np.eye(2), gates.T) == pytest.approx(2 * np.sin(np.pi / 16), abs=1e-15)
+    with pytest.raises(ValidationError):
+        qubit_phase_distances(np.eye(2), np.eye(4))
 
 
 def test_fidelity_pure_and_mixed():
