@@ -7,16 +7,11 @@ Pauli group, where a computational measurement plus classical bookkeeping
 recovers x. The non-entangled pair (breidbart, random-guess) needs no
 quantum resources at all.
 
-The tree strategy ships two engines. The lazy engine is the shared chain
-engine: it draws each teleport correction as the Bell measurement would,
-evolves the payload once along the realized branch, and fills the unselected
-slots of Bob's measurement record with uniform bits, which is exactly what
-measuring halves of untouched Bell pairs yields. The full engine (n=1,
-depth 3) materializes every branch as one 13-qubit register: the payload,
-one pair per direction of the first round trip, and a four-address final
-bank, with Bob measuring all four addresses. Both produce identical records
-and share one decoder, so agreement between them validates the lazy
-shortcut.
+The tree strategy runs on the shared chain engine: it draws each teleport
+correction as the Bell measurement would, evolves the payload once along the
+realized branch, and fills the unselected slots of Bob's measurement record
+with uniform bits, which is exactly what measuring halves of untouched Bell
+pairs yields.
 
 Every strategy's `answer` decodes the two exchanged messages to a uint8
 bit array. The basis game has no empty symbol, so lost positions take
@@ -38,15 +33,7 @@ from ..layout import CircuitLayout
 from ..pauli import PauliOperator, hierarchy_level, try_as_pauli
 from ..protocols import BasisShare, Challenge, render_answer
 from ..rng import RngStream
-from ..statevec import (
-    QubitArray,
-    apply_unitary,
-    bell_measurement,
-    bell_pair,
-    embed_operator,
-    measure_computational,
-    partial_trace,
-)
+from ..statevec import QubitArray, embed_operator, measure_computational
 from .base import (
     BOB,
     ChainGate,
@@ -186,15 +173,10 @@ class TreeAttack(ChainAttack):
     candidate is checked against the one-level-per-round descent.
     """
 
-    def __init__(self, k: int, engine: str = "lazy"):
+    def __init__(self, k: int):
         if k not in (3, 4):
             raise ValidationError("tree depth must be 3 or 4")
-        if engine not in ("lazy", "full"):
-            raise ValidationError("engine must be 'lazy' or 'full'")
-        if engine == "full" and k != 3:
-            raise ValidationError("the full-branch engine only supports depth 3")
         self.k = k
-        self.engine = engine
         self.name = f"tree:{k}"
 
     def reserved_epr(self, challenge: Challenge) -> int:
@@ -225,8 +207,6 @@ class TreeAttack(ChainAttack):
 
     def new_trial(self, challenge, delivered, rng) -> TrialState:
         self._check_challenge(challenge)
-        if self.engine == "full":
-            return self._full_trial(challenge, delivered, rng)
         trial = super().new_trial(challenge, delivered, rng)
         self._attach_slot_record(trial, rng)
         return trial
@@ -261,70 +241,6 @@ class TreeAttack(ChainAttack):
     def _measured(self, to_bob, to_alice) -> tuple:
         """The slot that Alice's corrections address."""
         return to_alice["slots"][self._address(to_bob["sigmas"])]
-
-    def _full_trial(self, challenge, delivered, rng) -> TrialState:
-        """Depth-3 run with every branch explicit in one 13-qubit register.
-
-        Register labels at build time: 0 payload, (1, 2) the first round
-        trip's outbound pair, (3, 4) its return pair, and (5+2s, 6+2s) the
-        final bank pair for address s, the sender keeping the even-offset
-        half. Bob applies the per-address correction inverse to all four
-        bank halves and measures them all; only the slot matching Alice's
-        first correction carries the payload.
-        """
-        trial = self.base_trial(challenge, delivered, rng)
-        trial.alice["lost"] = delivered.lost
-        share: BasisShare = challenge.v1_classical
-        u = share.unitary
-
-        reg = delivered.states
-        for _ in range(6):
-            reg = reg.tensor(bell_pair())
-        live = list(range(13))
-
-        def pos(label: int) -> int:
-            return live.index(label)
-
-        def hop(a: int, b: int) -> PauliOperator:
-            nonlocal reg
-            corr, reg = bell_measurement(reg, pos(a), pos(b), rng)
-            live.remove(a)
-            live.remove(b)
-            trial.ledger.spend(1)
-            return corr
-
-        sigma_a1 = hop(0, 1)
-        reg = apply_unitary(reg, u.conj().T, [pos(2)])
-        sigma_b1 = hop(2, 4)
-        addresses = self._all_addresses()
-        realized = addresses.index((_pauli_key(sigma_a1),))
-        sigma_a2 = hop(3, 5 + 2 * realized)
-
-        for s, address in enumerate(addresses):
-            x_bits, z_bits = address[0]
-            candidate = (
-                sigma_b1.matrix()
-                @ u.conj().T
-                @ PauliOperator(x_bits, z_bits, 0).matrix()
-                @ u
-            )
-            reg = apply_unitary(reg, candidate.conj().T, [pos(6 + 2 * s)])
-        # the realized slot is pure here (its Bell partner is consumed), so
-        # its reduced matrix is the same object the lazy engine measures
-        trial.bob["premeasure"] = partial_trace(
-            np.outer(reg.amps, reg.amps.conj()), [pos(6 + 2 * realized)]
-        )
-        slots = {}
-        for s, address in enumerate(addresses):
-            (bit,), reg = measure_computational(reg, [pos(6 + 2 * s)], rng, drop=True)
-            live.remove(6 + 2 * s)
-            slots[address] = (int(bit),)
-
-        trial.alice["sigmas"] = [sigma_a1, sigma_a2]
-        trial.bob["sigmas"] = [sigma_b1]
-        trial.bob["bits"] = slots[addresses[realized]]
-        trial.bob["slots"] = slots
-        return trial
 
 
 class LayoutAttack(ChainAttack):

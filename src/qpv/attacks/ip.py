@@ -45,7 +45,7 @@ from ..pauli import (
     clifford_conjugation_table,
     try_as_pauli,
 )
-from ..protocols import Challenge, IpShare, reconstruct_ip_unitary, render_answer
+from ..protocols import Challenge, IpShare, interleave, render_answer
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
 from ..statevec import haar_qubit_batch, phase_invariant_distance
@@ -66,9 +66,9 @@ def _require_ip(challenge: Challenge):
 
 
 def _share_factors(share: IpShare, qubit: int) -> np.ndarray:
-    """Factor stack for one qubit: (t, 2, 2) either way."""
-    f = np.asarray(share.factors)
-    return f[:, qubit] if f.ndim == 4 else f
+    """Factor stack (t, 2, 2) for one qubit; a shared challenge has one copy."""
+    copies = share.factors.shape[1]
+    return share.factors[:, qubit if copies > 1 else 0]
 
 
 # a PBT chain's outcome when a hop failed; lost qubits keep it too
@@ -306,8 +306,7 @@ class SkAttack(CoalitionStrategy):
         trial = self.base_trial(challenge, delivered, rng)
         trial.alice["lost"] = np.asarray(delivered.lost, dtype=bool)
 
-        per_qubit = np.asarray(challenge.v0_classical.factors).ndim == 4
-        copies = challenge.n if per_qubit else 1
+        copies = challenge.v0_classical.factors.shape[1]
         u_letters = []
         v_letters = []
         words_product = []
@@ -326,7 +325,7 @@ class SkAttack(CoalitionStrategy):
         bob_sigmas = []
         bits = np.zeros(challenge.n, dtype=np.uint8)
         for q in range(challenge.n):
-            c = q if per_qubit else 0
+            c = q if copies > 1 else 0
             opening = _share_factors(challenge.v0_classical, q)[0].conj().T
             chain = _TableChain(rng=rng)
             chain.apply_exact(opening)
@@ -444,21 +443,9 @@ class RandomBasisAttack(CoalitionStrategy):
         return render_answer(guess, lost)
 
 
-def _unitary_stack(u_share: IpShare, v_share: IpShare, n: int) -> np.ndarray:
-    """(n, 2, 2) stack of the per-qubit product unitaries."""
-    u = np.asarray(u_share.factors)
-    v = np.asarray(v_share.factors)
-    if u.ndim == 3:
-        return np.broadcast_to(reconstruct_ip_unitary(u_share, v_share), (n, 2, 2))
-    out = np.broadcast_to(np.eye(2, dtype=np.complex128), (n, 2, 2)).copy()
-    for i in range(u.shape[0]):
-        out = out @ u[i] @ v[i]
-    return out
-
-
 def _guess_bits(bases, outcomes, u_share, v_share, n) -> np.ndarray:
     """The likelier x per qubit, from scores[q, x] = |<b_q^(m_q)| U_q |x>|^2."""
-    stack = _unitary_stack(u_share, v_share, n)
+    stack = np.broadcast_to(interleave(u_share.factors, v_share.factors), (n, 2, 2))
     sel = bases[np.arange(n), :, outcomes]
     scores = np.abs(np.einsum("qj,qjx->qx", sel.conj(), stack)) ** 2
     return (scores[:, 1] > scores[:, 0]).astype(np.uint8)

@@ -24,6 +24,11 @@ QubitArray representation so n = 10^4 games stay cheap; the entangling basis
 families (pauli, clifford, haar, explicit, layout) use full state vectors at
 desk scale n <= 8.
 
+An IP challenge has one layout: each share's factors are a (t, copies, 2, 2)
+stack and the secret unitary a (copies, 2, 2) stack, where copies is n with
+per-qubit unitaries and 1 without. `interleave` is the one product over such
+stacks; the challenge, the honest prover and every IP attack use it.
+
 Per-qubit data are numpy arrays: the secret string x is a uint8 bit array and
 the channel's loss mask a bool array. Answers are strings over "0", "1" and
 the empty symbol "-", and this module is the only one that spells them:
@@ -153,7 +158,7 @@ class BasisShare:
 class IpShare:
     """One verifier's half of the interleaved product, factors in order."""
 
-    factors: np.ndarray  # (t, 2, 2), or (t, n, 2, 2) with per-qubit unitaries
+    factors: np.ndarray  # (t, copies, 2, 2); copies is n or 1 (see `interleave`)
 
 
 @dataclass(frozen=True)
@@ -161,7 +166,7 @@ class Secret:
     """The verifiers' hidden record: the string and the full rotation."""
 
     x: np.ndarray  # (n,) uint8 bits
-    unitary: np.ndarray
+    unitary: np.ndarray  # basis: the rotation; IP: (copies, 2, 2)
 
 
 @dataclass(frozen=True)
@@ -235,6 +240,15 @@ def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
     return Challenge("basis", spec.n, state, None, share, Secret(x, u), spec)
 
 
+def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_1 v_1 ... u_k v_k for two (k, copies, 2, 2) factor stacks; the
+    identity when k = 0."""
+    out = np.eye(2, dtype=np.complex128)
+    for i in range(len(u)):
+        out = out @ u[i] @ v[i]
+    return out
+
+
 def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
     """Sample u_1..u_t and v_1..v_{t-1} Haar; v_t closes the product to U."""
     x = rng.bits(spec.n)
@@ -243,54 +257,29 @@ def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
     # copied out so the challenge does not hold on to the whole draw
     draws = haar_qubit_stack(2 * spec.t, copies, rng)
     target = draws[0].copy()
-    u_all = draws[1::2].copy()
-    v_all = np.empty_like(u_all)
-    v_all[: spec.t - 1] = draws[2::2]
-    # one stacked 2x2 product per copy
-    prefix = np.eye(2, dtype=np.complex128)
-    for i in range(spec.t - 1):
-        prefix = prefix @ u_all[i] @ v_all[i]
-    prefix = prefix @ u_all[spec.t - 1]
-    v_all[spec.t - 1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
-    product = prefix @ v_all[spec.t - 1]
-    if not np.all(qubit_phase_distances(target, product) <= 1e-9):
+    u = draws[1::2].copy()
+    v = np.empty_like(u)
+    v[:-1] = draws[2::2]
+    prefix = interleave(u[:-1], v[:-1]) @ u[-1]
+    v[-1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
+    if not np.all(qubit_phase_distances(target, prefix @ v[-1]) <= 1e-9):
         raise ValidationError("interleaved product failed to close")
-    # U|x_q> is column x_q of the qubit's unitary, so row x_q of U^T
-    if spec.per_qubit_unitaries:
-        columns = target[np.arange(spec.n), :, x]
-    else:
-        columns = np.take(target[0].T, x, axis=0)
-    payload = QubitArray(columns)
-    if spec.per_qubit_unitaries:
-        u_share, v_share = u_all, v_all
-        secret_u = target
-    else:
-        u_share, v_share = u_all[:, 0], v_all[:, 0]
-        secret_u = target[0]
+    # U|x_q> is column x_q of copy q's unitary: row 2q + x_q of the stacked
+    # transposes (q = 0 for every qubit of a shared unitary)
+    columns = np.take(
+        np.swapaxes(target, -1, -2).reshape(-1, 2),
+        x + 2 * np.arange(copies),
+        axis=0,
+    )
     return Challenge(
         "ip",
         spec.n,
-        payload,
-        IpShare(u_share),
-        IpShare(v_share),
-        Secret(x, secret_u),
+        QubitArray(columns),
+        IpShare(u),
+        IpShare(v),
+        Secret(x, target),
         spec,
     )
-
-
-def reconstruct_ip_unitary(
-    u_share: IpShare, v_share: IpShare, qubit: int | None = None
-) -> np.ndarray:
-    """Multiply the interleaved factors back together: U = u_1 v_1 ... u_t v_t."""
-    u = np.asarray(u_share.factors)
-    v = np.asarray(v_share.factors)
-    if u.ndim == 4:
-        q = 0 if qubit is None else qubit
-        u, v = u[:, q], v[:, q]
-    out = np.eye(2, dtype=np.complex128)
-    for i in range(u.shape[0]):
-        out = out @ u[i] @ v[i]
-    return out
 
 
 # depolarizing draws index this stack; Y itself, not X @ Z = -iY, so the
@@ -369,21 +358,16 @@ def honest_prover_ip(
     """Rebuild U from the two shares, undo it per qubit, and measure; lost
     qubits answer the empty symbol."""
     states: QubitArray = delivered.states
-    per_qubit = np.asarray(challenge.v0_classical.factors).ndim == 4
-    if per_qubit:
-        rebuilt = np.stack(
-            [
-                reconstruct_ip_unitary(
-                    challenge.v0_classical, challenge.v1_classical, q
-                )
-                for q in range(challenge.n)
-            ]
-        )
-        inverses = np.conj(np.swapaxes(rebuilt, -1, -2))
+    product = interleave(
+        challenge.v0_classical.factors, challenge.v1_classical.factors
+    )
+    inverses = np.conj(np.swapaxes(product, -1, -2))
+    # the per-qubit kernel rounds differently, so the spec picks it, not the
+    # copy count: an n = 1 per-qubit game keeps apply_each
+    if challenge.spec.per_qubit_unitaries:
         undone = states.apply_each(inverses)
     else:
-        u = reconstruct_ip_unitary(challenge.v0_classical, challenge.v1_classical)
-        undone = states.apply_same(u.conj().T)
+        undone = states.apply_same(inverses[0])
     bits = undone.measure_all(rng)
     return render_answer(bits, np.asarray(delivered.lost, dtype=bool))
 

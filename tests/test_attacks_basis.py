@@ -1,4 +1,9 @@
-"""Entangled and unentangled coalition strategies against the basis game."""
+"""Entangled and unentangled coalition strategies against the basis game.
+
+`FullTreeAttack` below is the depth-3 tree attack with every branch held in
+one register, kept here as an oracle for the chain engine's realized-path
+shortcut.
+"""
 
 import sys
 from pathlib import Path
@@ -17,9 +22,10 @@ from qpv.attacks import (
     TreeAttack,
 )
 from qpv.attacks.base import decode_chain_answer
+from qpv.attacks.basis import _pauli_key
 from qpv.errors import StrategyError, ValidationError
 from qpv.layout import CircuitLayout, LayoutGate, load_layout, single_gate_layout
-from qpv.pauli import random_clifford
+from qpv.pauli import PauliOperator, random_clifford
 from qpv.protocols import (
     BasisGameSpec,
     ChannelModel,
@@ -30,7 +36,14 @@ from qpv.protocols import (
     run_game,
 )
 from qpv.rng import RngStream
-from qpv.statevec import fidelity
+from qpv.statevec import (
+    apply_unitary,
+    bell_measurement,
+    bell_pair,
+    fidelity,
+    measure_computational,
+    partial_trace,
+)
 
 CLEAN = ChannelModel()
 # the layout of the benchmark's basis-layout-chain workload
@@ -39,6 +52,79 @@ CHAIN5 = Path(__file__).parent.parent / "perfbench" / "layouts" / "chain5.json"
 
 def play(spec, attack, trials, seed=11, threads=1):
     return run_game(spec, attack, CLEAN, trials, RngStream(seed, 0), threads=threads)
+
+
+class FullTreeAttack(TreeAttack):
+    """Depth-3 tree attack with every branch explicit in one 13-qubit register.
+
+    Register labels at build time: 0 payload, (1, 2) the first round trip's
+    outbound pair, (3, 4) its return pair, and (5+2s, 6+2s) the final bank
+    pair for address s, the sender keeping the even-offset half. Bob applies
+    the per-address correction inverse to all four bank halves and measures
+    them all; only the slot matching Alice's first correction carries the
+    payload. It shares TreeAttack's decoder, so equal records validate the
+    lazy engine's uniform bits for the unselected slots.
+    """
+
+    def __init__(self, k: int = 3):
+        if k != 3:
+            raise ValidationError("the full-branch engine only supports depth 3")
+        super().__init__(k)
+
+    def new_trial(self, challenge, delivered, rng):
+        self._check_challenge(challenge)
+        trial = self.base_trial(challenge, delivered, rng)
+        trial.alice["lost"] = delivered.lost
+        u = challenge.v1_classical.unitary
+
+        reg = delivered.states
+        for _ in range(6):
+            reg = reg.tensor(bell_pair())
+        live = list(range(13))
+
+        def pos(label: int) -> int:
+            return live.index(label)
+
+        def hop(a: int, b: int) -> PauliOperator:
+            nonlocal reg
+            corr, reg = bell_measurement(reg, pos(a), pos(b), rng)
+            live.remove(a)
+            live.remove(b)
+            trial.ledger.spend(1)
+            return corr
+
+        sigma_a1 = hop(0, 1)
+        reg = apply_unitary(reg, u.conj().T, [pos(2)])
+        sigma_b1 = hop(2, 4)
+        addresses = self._all_addresses()
+        realized = addresses.index((_pauli_key(sigma_a1),))
+        sigma_a2 = hop(3, 5 + 2 * realized)
+
+        for s, address in enumerate(addresses):
+            x_bits, z_bits = address[0]
+            candidate = (
+                sigma_b1.matrix()
+                @ u.conj().T
+                @ PauliOperator(x_bits, z_bits, 0).matrix()
+                @ u
+            )
+            reg = apply_unitary(reg, candidate.conj().T, [pos(6 + 2 * s)])
+        # the realized slot is pure here (its Bell partner is consumed), so
+        # its reduced matrix is the same object the lazy engine measures
+        trial.bob["premeasure"] = partial_trace(
+            np.outer(reg.amps, reg.amps.conj()), [pos(6 + 2 * realized)]
+        )
+        slots = {}
+        for s, address in enumerate(addresses):
+            (bit,), reg = measure_computational(reg, [pos(6 + 2 * s)], rng, drop=True)
+            live.remove(6 + 2 * s)
+            slots[address] = (int(bit),)
+
+        trial.alice["sigmas"] = [sigma_a1, sigma_a2]
+        trial.bob["sigmas"] = [sigma_b1]
+        trial.bob["bits"] = slots[addresses[realized]]
+        trial.bob["slots"] = slots
+        return trial
 
 
 def test_pauli_attack_breaks_pauli_family():
@@ -105,10 +191,6 @@ def test_tree_attack_constructor_validation():
         TreeAttack(2)
     with pytest.raises(ValidationError):
         TreeAttack(5)
-    with pytest.raises(ValidationError):
-        TreeAttack(3, engine="eager")
-    with pytest.raises(ValidationError):
-        TreeAttack(4, engine="full")
 
 
 def test_tree_attack_rejects_out_of_level_rotation(rng):
@@ -123,8 +205,8 @@ def test_tree_full_engine_matches_lazy_realized_path():
     branch and keeps the one addressed by the realized corrections. Under
     the same random stream both must hold the same single-qubit state just
     before measuring, and answer identically."""
-    lazy = TreeAttack(3, engine="lazy")
-    full = TreeAttack(3, engine="full")
+    lazy = TreeAttack(3)
+    full = FullTreeAttack(3)
     gen_rng = RngStream(21, 4)
     for target in (gates.T, gates.H @ gates.T):
         challenge = gen_basis_challenge(tree_spec(target), gen_rng)
@@ -140,7 +222,7 @@ def test_tree_full_engine_matches_lazy_realized_path():
 
 def test_tree_full_engine_win_rate_matches():
     spec = tree_spec(gates.T)
-    assert play(spec, TreeAttack(3, engine="full"), 60).win_rate == 1.0
+    assert play(spec, FullTreeAttack(3), 60).win_rate == 1.0
 
 
 def test_layout_attack_sequential_layers():
@@ -214,7 +296,7 @@ def test_random_guess_answers_always_agree(rng):
 
 
 def test_tree_full_engine_spends_the_realized_path():
-    stats = play(tree_spec(gates.T), TreeAttack(3, engine="full"), 200, seed=13)
+    stats = play(tree_spec(gates.T), FullTreeAttack(3), 200, seed=13)
     assert stats.win_rate == 1.0
     assert stats.reserved_epr == 14
     assert stats.mean_epr_consumed == 3.0
@@ -252,7 +334,7 @@ BASIS_STRATEGIES = {
     "pauli": lambda: (BasisGameSpec(3, "pauli"), PauliAttack()),
     "clifford": lambda: (BasisGameSpec(2, "clifford"), CliffordAttack()),
     "tree:3": lambda: (tree_spec(gates.T, gates.H @ gates.T), TreeAttack(3)),
-    "tree:3-full": lambda: (tree_spec(gates.T), TreeAttack(3, engine="full")),
+    "tree:3-full": lambda: (tree_spec(gates.T), FullTreeAttack(3)),
     "layout": lambda: (
         BasisGameSpec(2, "layout", layout=load_layout(CHAIN5)),
         LayoutAttack(load_layout(CHAIN5)),

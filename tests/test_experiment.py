@@ -295,6 +295,27 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials, **keys):
             "b76bb2f2403f986230244a52d0ebeef7f807df22c459a1c756489bcd22255c59",
             id="lossy-confidence-over-budget",
         ),
+        pytest.param(
+            _ip("random-basis", 500, 2, 0.3, 0.2, 0.1, 10, per_qubit_unitaries="true"),
+            "4682e877865ccfa9e41909c22cd4df29487e4472b0c477bafa40feef7caee594",
+            id="random-basis-per-qubit",
+        ),
+        pytest.param(
+            _ip(
+                "lossy-confidence", 500, 2, 0.3, 0.2, 0.1, 10,
+                per_qubit_unitaries="true",
+            ),
+            "349090265aeb0fbcf78130ccab6e7bb179c553e01e61f7e76ebc722d9d269b69",
+            id="lossy-confidence-per-qubit",
+        ),
+        pytest.param(
+            _config(
+                game="ip", n=3, t=2, actor="sk:2", eta_err=0.3, eta_loss=0.5,
+                p_loss=0.1, trials=4, seed=7, per_qubit_unitaries="true",
+            ),
+            "d6cbb14106f5b6396469a7488c61c1afd47c374e0e26fbb98d008e92a7893dc4",
+            id="sk-2-per-qubit",
+        ),
     ],
 )
 def test_records_match_their_frozen_digests(text, digest):

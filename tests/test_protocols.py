@@ -20,13 +20,18 @@ from qpv.protocols import (
     bank_redeem,
     gen_basis_challenge,
     gen_ip_challenge,
-    reconstruct_ip_unitary,
+    interleave,
     run_game,
     verify_basis,
     verify_ip,
 )
 from qpv.rng import RngStream
-from qpv.statevec import QubitArray, StateVector, phase_invariant_distance
+from qpv.statevec import (
+    QubitArray,
+    StateVector,
+    haar_qubit_stack,
+    phase_invariant_distance,
+)
 
 
 def test_basis_spec_validation():
@@ -102,12 +107,12 @@ def test_basis_challenge_explicit_and_layout(rng):
 def test_ip_challenge_product_closes(rng):
     spec = IPGameSpec(3, 2)
     challenge = gen_ip_challenge(spec, rng)
-    rebuilt = reconstruct_ip_unitary(
-        challenge.v0_classical, challenge.v1_classical
-    )
-    assert phase_invariant_distance(rebuilt, challenge.secret.unitary) < 1e-9
+    rebuilt = interleave(
+        challenge.v0_classical.factors, challenge.v1_classical.factors
+    )[0]
+    assert phase_invariant_distance(rebuilt, challenge.secret.unitary[0]) < 1e-9
     for q in range(3):
-        column = challenge.secret.unitary[:, challenge.secret.x[q]]
+        column = challenge.secret.unitary[0][:, challenge.secret.x[q]]
         assert np.allclose(challenge.quantum_payload.qubit(q).amps, column)
 
 
@@ -117,10 +122,52 @@ def test_ip_challenge_per_qubit_unitaries(rng):
     assert challenge.v0_classical.factors.shape == (2, 3, 2, 2)
     assert challenge.secret.unitary.shape == (3, 2, 2)
     for q in range(3):
-        rebuilt = reconstruct_ip_unitary(
-            challenge.v0_classical, challenge.v1_classical, q
-        )
+        rebuilt = interleave(
+            challenge.v0_classical.factors, challenge.v1_classical.factors
+        )[q]
         assert phase_invariant_distance(rebuilt, challenge.secret.unitary[q]) < 1e-9
+
+
+def _reconstruct_oracle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u_1 v_1 ... u_t v_t for one copy's (t, 2, 2) factor stacks, one 2x2
+    product at a time: the per-qubit reconstruction `interleave` replaced."""
+    out = np.eye(2, dtype=np.complex128)
+    for i in range(u.shape[0]):
+        out = out @ u[i] @ v[i]
+    return out
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+@pytest.mark.parametrize("copies", [1, 7])
+def test_interleave_matches_the_per_copy_oracle(t, copies):
+    draws = haar_qubit_stack(2 * t, copies, RngStream(61, t))
+    u, v = draws[:t], draws[t:]
+    product = interleave(u, v)
+    assert product.shape == (copies, 2, 2)
+    for c in range(copies):
+        assert np.array_equal(product[c], _reconstruct_oracle(u[:, c], v[:, c]))
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+def test_ip_challenge_keeps_one_layout(t, per_qubit):
+    n = 9
+    spec = IPGameSpec(n, t, per_qubit_unitaries=per_qubit)
+    challenge = gen_ip_challenge(spec, RngStream(67, t))
+    copies = n if per_qubit else 1
+    u, v = challenge.v0_classical.factors, challenge.v1_classical.factors
+    assert u.shape == v.shape == (t, copies, 2, 2)
+    target = challenge.secret.unitary
+    assert target.shape == (copies, 2, 2)
+    x = challenge.secret.x
+    for q in range(n):
+        c = q if per_qubit else 0
+        # the payload row is the target's column x_q, bit for bit
+        assert np.array_equal(
+            challenge.quantum_payload.amps[q], target[c][:, x[q]]
+        )
+        rebuilt = _reconstruct_oracle(u[:, c], v[:, c])
+        assert phase_invariant_distance(rebuilt, target[c]) < 1e-9
 
 
 def test_apply_channel_loss_marks_all(rng):
@@ -318,7 +365,7 @@ def test_honest_ip_answer_renders_the_measured_bits():
         challenge, DeliveredPayload(challenge.quantum_payload, tuple_mask), RngStream(9, 1)
     ).y_alice
     assert answer == from_tuple
-    u = reconstruct_ip_unitary(challenge.v0_classical, challenge.v1_classical)
+    u = interleave(challenge.v0_classical.factors, challenge.v1_classical.factors)[0]
     bits = challenge.quantum_payload.apply_same(u.conj().T).measure_all(RngStream(9, 1))
     expected = "".join("-" if mask[q] else str(int(bits[q])) for q in range(n))
     assert answer == expected
