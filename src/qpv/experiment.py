@@ -5,9 +5,10 @@ lines, carrying an explicit schema version. parse_config rejects anything it
 does not understand, with the offending line quoted, so a silently ignored
 typo cannot skew a study. run_experiment turns a parsed config into a result
 record: the full config echo, per-metric means with standard errors, the EPR
-ledger summary, and a wall clock. Two runs with the same config produce
-byte-identical canonical JSON apart from the wall clock, regardless of the
-thread count.
+ledger summary, and a wall clock, plus a CSV with one row per trial. A trial
+leaves only that row behind, and every statistic is computed once, from the
+rows. Two runs with the same config produce byte-identical canonical JSON
+apart from the wall clock, regardless of the thread count.
 
 compare_bounds lines up a result record against a cost record and checks
 each comparable quantity (reserved EPR against the closed-form cap, measured
@@ -256,29 +257,39 @@ def resolve_actor(name: str):
     return strategy_from_name(name)
 
 
-def _mean_stderr(values) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
+def _summary(rows, column: int, mean: float) -> dict:
+    """Record entry of one row column: its mean and the mean's standard error."""
+    n = len(rows)
     if n < 2:
-        return float(mean), 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return float(mean), float(math.sqrt(var / n))
+        return {"mean": mean, "stderr": 0.0}
+    var = sum((row[column] - mean) ** 2 for row in rows) / (n - 1)
+    return {"mean": mean, "stderr": math.sqrt(var / n)}
 
 
 @dataclass(frozen=True)
 class RunPayload:
-    """One finished experiment: the JSON-ready record plus per-trial CSV."""
+    """One finished experiment: the JSON-ready record and its GameStats."""
 
     record: dict
-    trial_csv: str
     stats: GameStats
+
+    @property
+    def trial_csv(self) -> str:
+        """One CSV line per trial row, in index order."""
+        lines = ["trial,accepted,error_count,loss_count,epr_consumed"]
+        rows = self.stats.trial_rows
+        lines += [f"{i},{int(a)},{e},{l},{c}" for i, a, e, l, c in rows]
+        return "\n".join(lines) + "\n"
 
 
 def run_experiment(config: ExperimentConfig) -> RunPayload:
     """Execute the configured experiment and build its result record.
 
-    Trials are reduced in index order, so the metrics block depends only on
-    the config (seed included), never on the thread count.
+    run_game leaves one row per trial and computes every mean once from the
+    rows; the record formats those means and takes each standard error
+    around them. Rows are kept in index order, so the record and the trial
+    CSV depend only on the config (seed included), never on the thread
+    count.
     """
     spec, channel, bank = build_spec(config)
     actor = resolve_actor(config.actor)
@@ -292,22 +303,18 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
         rng=rng,
         bank=bank,
         threads=max(config.threads, 1),
-        keep_trials=True,
     )
     elapsed = time.perf_counter() - start
-    rows = stats.trial_rows or ()
-    err_mean, err_se = _mean_stderr([r[2] for r in rows])
-    loss_mean, loss_se = _mean_stderr([r[3] for r in rows])
-    epr_mean, epr_se = _mean_stderr([r[4] for r in rows])
+    rows = stats.trial_rows
     record = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "experiment",
         "config": config.as_dict(),
         "metrics": {
             "win_rate": {"mean": stats.win_rate, "stderr": stats.stderr},
-            "error_count": {"mean": err_mean, "stderr": err_se},
-            "loss_count": {"mean": loss_mean, "stderr": loss_se},
-            "epr_consumed": {"mean": epr_mean, "stderr": epr_se},
+            "error_count": _summary(rows, 2, stats.mean_error_count),
+            "loss_count": _summary(rows, 3, stats.mean_loss_count),
+            "epr_consumed": _summary(rows, 4, stats.mean_epr_consumed),
         },
         "ledger": {
             "reserved_epr": stats.reserved_epr,
@@ -318,9 +325,7 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
         ],
         "wall_clock_seconds": round(elapsed, 6),
     }
-    csv_lines = ["trial,accepted,error_count,loss_count,epr_consumed"]
-    csv_lines += [f"{i},{int(a)},{e},{l},{c}" for i, a, e, l, c in rows]
-    return RunPayload(record, "\n".join(csv_lines) + "\n", stats)
+    return RunPayload(record, stats)
 
 
 def canonical_json(record: dict) -> str:

@@ -41,6 +41,7 @@ Python runs on the honest path.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
@@ -481,8 +482,10 @@ class HonestProver:
 
 @dataclass(frozen=True)
 class GameStats:
-    """Aggregate of a Monte Carlo run; all means are exact-integer totals
-    divided by the trial count, so they are independent of thread count."""
+    """Aggregate of a Monte Carlo run, computed once from its trial rows
+    (index, accepted, error_count, loss_count, epr_consumed); all means are
+    exact-integer totals divided by the trial count, so they are independent
+    of thread count."""
 
     trials: int
     wins: int
@@ -493,7 +496,7 @@ class GameStats:
     mean_epr_consumed: float
     reserved_epr: int
     error_histogram: dict[int, int]
-    trial_rows: tuple[tuple[int, bool, int, int, int], ...] | None = None
+    trial_rows: tuple[tuple[int, bool, int, int, int], ...]
 
 
 def run_game(
@@ -504,14 +507,15 @@ def run_game(
     rng: RngStream,
     bank: StateBank | None = None,
     threads: int = 1,
-    keep_trials: bool = False,
 ) -> GameStats:
     """Run `trials` independent rounds and aggregate.
 
     Trial i draws everything from rng.substream(1 + i), so results depend
-    only on (seed, trial index), never on the thread count. With a bank, the
-    payload is redeemed out-of-band and the channel only would have applied
-    to the (absent) transmission, so it is skipped.
+    only on (seed, trial index), never on the thread count. A finished trial
+    leaves only its row and its reserved EPR count, so memory keeps no
+    trial's challenge, state or answers. With a bank, the payload is redeemed
+    out-of-band and the channel only would have applied to the (absent)
+    transmission, so it is skipped.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -520,8 +524,11 @@ def run_game(
     is_basis = isinstance(spec, BasisGameSpec)
     if bank is not None and is_basis:
         raise ValidationError("the state bank only serves the IP game")
+    # one set.add per trial, atomic under the interpreter lock; returning the
+    # count beside the row would hold a pair per trial until the end
+    reserved: set[int] = set()
 
-    def one_trial(i: int):
+    def one_trial(i: int) -> tuple[int, bool, int, int, int]:
         rng_i = rng.substream(1 + i)
         if bank is not None:
             token = bank_issue(spec, bank, rng_i)
@@ -549,35 +556,18 @@ def run_game(
                 spec.eta_err,
                 spec.eta_loss,
             )
-        return verdict, outcome
+        reserved.add(outcome.epr_reserved)
+        counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
+        return (i, verdict.accepted, *counts)
 
     if threads == 1:
-        results = [one_trial(i) for i in range(trials)]
+        rows = tuple(map(one_trial, range(trials)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_trial, range(trials)))
-
-    wins = 0
-    error_total = 0
-    loss_total = 0
-    consumed_total = 0
-    reserved_values: set[int] = set()
-    histogram: dict[int, int] = {}
-    for verdict, outcome in results:
-        wins += int(verdict.accepted)
-        error_total += verdict.error_count
-        loss_total += verdict.loss_count
-        consumed_total += outcome.epr_consumed
-        reserved_values.add(outcome.epr_reserved)
-        histogram[verdict.error_count] = histogram.get(verdict.error_count, 0) + 1
-    if len(reserved_values) != 1:
+            rows = tuple(pool.map(one_trial, range(trials)))
+    if len(reserved) != 1:
         raise ValidationError("strategy reported inconsistent reserved EPR counts")
-    rows = None
-    if keep_trials:
-        rows = tuple(
-            (i, v.accepted, v.error_count, v.loss_count, o.epr_consumed)
-            for i, (v, o) in enumerate(results)
-        )
+    wins = sum(row[1] for row in rows)
     win_rate = wins / trials
     stderr = float(np.sqrt(win_rate * (1.0 - win_rate) / trials))
     return GameStats(
@@ -585,10 +575,10 @@ def run_game(
         wins=wins,
         win_rate=win_rate,
         stderr=stderr,
-        mean_error_count=error_total / trials,
-        mean_loss_count=loss_total / trials,
-        mean_epr_consumed=consumed_total / trials,
-        reserved_epr=reserved_values.pop(),
-        error_histogram=histogram,
+        mean_error_count=sum(row[2] for row in rows) / trials,
+        mean_loss_count=sum(row[3] for row in rows) / trials,
+        mean_epr_consumed=sum(row[4] for row in rows) / trials,
+        reserved_epr=reserved.pop(),
+        error_histogram=dict(Counter(row[2] for row in rows)),
         trial_rows=rows,
     )

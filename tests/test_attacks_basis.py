@@ -5,6 +5,7 @@ one register, kept here as an oracle for the chain engine's realized-path
 shortcut.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 from unittest import mock
@@ -31,6 +32,7 @@ from qpv.protocols import (
     ChannelModel,
     DeliveredPayload,
     IPGameSpec,
+    apply_channel,
     gen_basis_challenge,
     gen_ip_challenge,
     run_game,
@@ -367,6 +369,36 @@ def test_chain_answer_replays_the_chain_once_per_trial():
     assert replay.call_count == 200
 
 
+def chain_draws_digest(seed: int) -> str:
+    """sha256 over 50 clean-channel trials of the CHAIN5 layout attack: each
+    trial's hop corrections (Alice's, then Bob's), Bob's outcome and the
+    answer."""
+    layout = load_layout(CHAIN5)
+    spec = BasisGameSpec(2, "layout", layout=layout)
+    attack = LayoutAttack(layout)
+    digest = hashlib.sha256()
+    for i in range(50):
+        rng = RngStream(seed, 0).substream(1 + i)
+        challenge = gen_basis_challenge(spec, rng)
+        state, lost = apply_channel(challenge.quantum_payload, CLEAN, rng)
+        trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
+        to_bob, to_alice = attack.round1_alice(trial), attack.round1_bob(trial)
+        y = attack.answer(trial, to_bob, to_alice)
+        for sigma in to_bob["sigmas"] + to_alice["sigmas"]:
+            digest.update(bytes(sigma.x_bits + sigma.z_bits))
+        digest.update(bytes(to_alice["bits"]))
+        digest.update(y.encode())
+    return digest.hexdigest()
+
+
+def test_layout_chain_keeps_its_draws():
+    # the attack wins every trial at a fixed EPR count, so its record cannot
+    # see a changed draw; this digest of the draws themselves can
+    frozen = "546a4584b9cba67c2c5561d0e1a18363c9872be0f8dc3bff9c63473d1a862534"
+    assert chain_draws_digest(5) == frozen
+    assert chain_draws_digest(23) != frozen
+
+
 def test_pooled_trials_share_one_layout_product():
     # every trial of a fresh layout races to build its cached product first
     def play_fresh(threads):
@@ -374,7 +406,7 @@ def test_pooled_trials_share_one_layout_product():
         spec = BasisGameSpec(2, "layout", layout=layout)
         return run_game(
             spec, LayoutAttack(layout), ChannelModel(p_loss=0.3), 40,
-            RngStream(7, 0), threads=threads, keep_trials=True,
+            RngStream(7, 0), threads=threads,
         )
 
     interval = sys.getswitchinterval()

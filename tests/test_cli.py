@@ -83,6 +83,40 @@ def test_run_rejects_a_directory_as_out_with_one_error_line(tmp_path, capsys):
     assert lines[0].startswith("error=IsADirectoryError:")
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", "0", "trials must be at least 1"),
+        ("--seed", "-1", "seed must be non-negative"),
+        ("--threads", "-1", "threads must be non-negative"),
+    ],
+)
+def test_run_rejects_a_bad_override_with_one_error_line(
+    flag, value, message, tmp_path, capsys
+):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_RUN)
+    assert main(["run", str(config), flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ValidationError:")
+    assert message in lines[0]
+
+
+def test_run_prints_one_csv_row_per_trial(tmp_path, capsys):
+    config = tmp_path / "tiny.cfg"
+    config.write_text(TINY_RUN)
+    assert main(["run", str(config), "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0] == "trial,accepted,error_count,loss_count,epr_consumed"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+    assert all(len(line.split(",")) == 5 for line in lines[1:])
+    assert err == ""
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["run"]) == 1
     lines = error_lines(capsys.readouterr().err)

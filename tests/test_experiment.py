@@ -333,6 +333,58 @@ def test_records_match_their_frozen_digests(text, digest):
     assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        pytest.param(
+            FROZEN_HONEST_IP,
+            "1dd5d1a1323eb53a4c1f280cc4bfd7925ab3fa8216336a08771d001ff8eb86f3",
+            id="honest-ip",
+        ),
+        pytest.param(
+            _ip("sk:1", 4, 1, 0.2, 0.5, 0.2, 10),
+            "95338247213132ccccccdcd5bacb5b316b0c28c01bcc3b68974cb17f01eb0551",
+            id="sk-1",
+        ),
+        pytest.param(
+            _ip("lossy-confidence", 500, 2, 0.3, 0.05, 0.2, 10),
+            "7b5fe5bcbd08245b0074769585ad1744c1a8ae02d3266822b8aeaff072854a17",
+            id="lossy-confidence-over-budget",
+        ),
+        pytest.param(
+            _config(
+                game="ip", n=8, t=3, actor="pbt:8,8,8,8,8", eta_err=0.5, p_dep=0.1,
+                trials=40, seed=3,
+            ),
+            "807f74ce0c890a6fa5e825a885ffbdab6bb5ce6dab269f653cafef27e7839d3c",
+            id="pbt-8x5-depolarized",
+        ),
+        pytest.param(
+            _basis("clifford", "clifford", 3, 0.2, 40, p_dep=0.2),
+            "ffe81157f80d05482eff4ef52020640fe45d36425661895a2205182404fc9169",
+            id="clifford-3-depolarized",
+        ),
+    ],
+)
+def test_trial_csvs_match_their_frozen_digests(text, digest):
+    # one row per trial, in index order, with every count a finished trial keeps
+    csv = run_experiment(parse_config(text)).trial_csv
+    assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def test_a_single_trial_has_zero_stderrs_and_one_csv_row():
+    config = dataclasses.replace(parse_config(FROZEN_HONEST_IP), trials=1)
+    payload = run_experiment(config)
+    metrics = payload.record["metrics"]
+    assert {name: m["stderr"] for name, m in metrics.items()} == dict.fromkeys(
+        metrics, 0.0
+    )
+    assert metrics["loss_count"]["mean"] > 0
+    lines = payload.trial_csv.splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0,")
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": 2})
     assert text.index('"a"') < text.index('"b"')

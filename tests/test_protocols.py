@@ -1,5 +1,8 @@
 """Game specs, challenge generation, channels, verification, and run_game."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -292,7 +295,7 @@ def test_run_game_deterministic_and_thread_independent():
     def play(threads):
         return run_game(
             spec, HonestProver(), channel, 60,
-            RngStream(77, 0), threads=threads, keep_trials=True,
+            RngStream(77, 0), threads=threads,
         )
 
     base = play(1)
@@ -318,6 +321,32 @@ def test_run_game_rejects_inconsistent_ledger(rng):
 
     with pytest.raises(ValidationError, match="inconsistent reserved"):
         run_game(BasisGameSpec(2, "haar"), FlakyLedger(), ChannelModel(), 4, rng)
+
+
+def test_a_finished_trial_leaves_only_its_row():
+    # each outcome holds its n-character answers, so none may outlive its trial
+    class TrackedOutcome(TrialOutcome):
+        pass
+
+    class TrackingProver(HonestProver):
+        def __init__(self):
+            self.outcomes = []
+            self.alive = []
+
+        def run_trial(self, challenge, delivered, trial_rng):
+            gc.collect()
+            self.alive.append(sum(ref() is not None for ref in self.outcomes))
+            outcome = TrackedOutcome(
+                **vars(super().run_trial(challenge, delivered, trial_rng))
+            )
+            self.outcomes.append(weakref.ref(outcome))
+            return outcome
+
+    prover = TrackingProver()
+    stats = run_game(IPGameSpec(50, 2), prover, ChannelModel(), 6, RngStream(5, 0))
+    assert prover.alive == [0] * 6
+    assert stats.wins == 6
+    assert [row[0] for row in stats.trial_rows] == list(range(6))
 
 
 def test_run_game_argument_validation(rng):
