@@ -29,6 +29,16 @@ stack and the secret unitary a (copies, 2, 2) stack, where copies is n with
 per-qubit unitaries and 1 without. `interleave` is the one product over such
 stacks; the challenge, the honest prover and every IP attack use it.
 
+`run_game` takes trials in blocks of B = max(1, BLOCK_QUBITS // n). Trial i
+owns the stream rng.substream(1 + i). A block first makes the challenges of
+all its trials, then runs each trial's channel, actor and verification in
+index order on that same stream object, which continues from where its
+challenge left it. An IP block (`gen_ip_block`) stacks its trials on a
+leading axis: normals (B, 2t, 2, copies, 2, 2), factors (B, t, copies, 2, 2),
+targets (B, copies, 2, 2) and payload columns (B, n, 2), so one QR, one
+`interleave`, one closure check and one gather serve the whole block;
+`gen_ip_challenge` makes one trial's Challenge from its row of the block.
+
 Per-qubit data are numpy arrays: the secret string x is a uint8 bit array and
 the channel's loss mask a bool array. Answers are strings over "0", "1" and
 the empty symbol "-", and this module is the only one that spells them:
@@ -58,13 +68,17 @@ from .statevec import (
     StateVector,
     apply_unitary,
     check_unitary,
-    haar_qubit_stack,
+    haar_from_normals,
     haar_random_unitary,
     measure_computational,
     qubit_phase_distances,
 )
 
 EMPTY_SYMBOL = "-"
+
+# qubits of challenge per block of trials; a block holds its trials'
+# challenges at once, so this bounds that memory
+BLOCK_QUBITS = 128
 
 BASIS_FAMILIES = ("explicit", "pauli", "clifford", "bb84", "haar", "layout")
 
@@ -219,7 +233,7 @@ def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
     family = spec.family
     if family == "bb84":
         letters = tuple("H" if b else "I" for b in rng.integers(2, size=spec.n))
-        payload = QubitArray.from_bits(x).apply_each(_bb84_rotations(letters))
+        payload = QubitArray.from_bits(x)._apply_each(_bb84_rotations(letters))
         share = BasisShare(family, letters=letters)
         # secret unitary kept per-qubit implicitly via the letters
         secret = Secret(x, np.empty(0))
@@ -242,36 +256,67 @@ def gen_basis_challenge(spec: BasisGameSpec, rng: RngStream) -> Challenge:
 
 
 def interleave(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u_1 v_1 ... u_k v_k for two (k, copies, 2, 2) factor stacks; the
-    identity when k = 0."""
+    """u_1 v_1 ... u_k v_k for two (k, ..., 2, 2) factor stacks, such as
+    (k, copies, 2, 2); the identity when k = 0."""
     out = np.eye(2, dtype=np.complex128)
     for i in range(len(u)):
         out = out @ u[i] @ v[i]
     return out
 
 
-def gen_ip_challenge(spec: IPGameSpec, rng: RngStream) -> Challenge:
-    """Sample u_1..u_t and v_1..v_{t-1} Haar; v_t closes the product to U."""
-    x = rng.bits(spec.n)
-    copies = spec.n if spec.per_qubit_unitaries else 1
-    # drawn in the order target, u_1, v_1, u_2, ..., v_{t-1}, u_t, and
-    # copied out so the challenge does not hold on to the whole draw
-    draws = haar_qubit_stack(2 * spec.t, copies, rng)
-    target = draws[0].copy()
-    u = draws[1::2].copy()
+def gen_ip_block(
+    spec: IPGameSpec, rngs: list[RngStream]
+) -> list[tuple[np.ndarray, ...]]:
+    """Draw and close the IP challenges of a block of trials, one stream each.
+
+    Each stream draws its secret bits(n), then its (2t, 2, copies, 2, 2)
+    normals, as it would for a challenge of its own. Then one stacked QR,
+    one `interleave`, one closure check and one gather serve the block.
+    Every 2x2 matrix is computed on its own, so each trial's challenge is
+    bit for bit the one it would get alone. Returns one row
+    (x, target, u, v, columns) per stream, for `gen_ip_challenge`.
+    """
+    n, t = spec.n, spec.t
+    copies = n if spec.per_qubit_unitaries else 1
+    xs = np.empty((len(rngs), n), dtype=np.uint8)
+    normals = np.empty((len(rngs), 2 * t, 2, copies, 2, 2))
+    for x, g, rng in zip(xs, normals, rngs):
+        x[:] = rng.bits(n)
+        rng.generator.standard_normal(out=g)
+    # each trial's draws are in the order target, u_1, v_1, u_2, ...,
+    # v_{t-1}, u_t; copied out so no challenge holds on to the whole draw
+    draws = haar_from_normals(normals)
+    target = draws[:, 0].copy()
+    u = draws[:, 1::2].copy()
     v = np.empty_like(u)
-    v[:-1] = draws[2::2]
-    prefix = interleave(u[:-1], v[:-1]) @ u[-1]
-    v[-1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
-    if not np.all(qubit_phase_distances(target, prefix @ v[-1]) <= 1e-9):
+    v[:, :-1] = draws[:, 2::2]
+    # interleave runs over its leading axis, so the factor axis goes first
+    prefix = interleave(u[:, :-1].swapaxes(0, 1), v[:, :-1].swapaxes(0, 1)) @ u[:, -1]
+    v[:, -1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
+    if not np.all(qubit_phase_distances(target, prefix @ v[:, -1]) <= 1e-9):
         raise ValidationError("interleaved product failed to close")
-    # U|x_q> is column x_q of copy q's unitary: row 2q + x_q of the stacked
-    # transposes (q = 0 for every qubit of a shared unitary)
+    # U|x_q> is column x_q of copy q's unitary: in trial b, row
+    # 2 (b copies + q) + x_q of the stacked transposes (q = 0 for every
+    # qubit of a shared unitary)
+    first = 2 * (copies * np.arange(len(rngs))[:, None] + np.arange(copies))
     columns = np.take(
-        np.swapaxes(target, -1, -2).reshape(-1, 2),
-        x + 2 * np.arange(copies),
-        axis=0,
+        np.swapaxes(target, -1, -2).reshape(-1, 2), xs + first, axis=0
     )
+    return list(zip(xs, target, u, v, columns))
+
+
+def gen_ip_challenge(
+    spec: IPGameSpec, rng: RngStream, closed: tuple[np.ndarray, ...] | None = None
+) -> Challenge:
+    """Sample u_1..u_t and v_1..v_{t-1} Haar; v_t closes the product to U.
+
+    `closed` is this trial's row of `gen_ip_block`, which already drew it
+    from `rng`; without it, the challenge is drawn from `rng` as a block of
+    one.
+    """
+    if closed is None:
+        closed = gen_ip_block(spec, [rng])[0]
+    x, target, u, v, columns = closed
     return Challenge(
         "ip",
         spec.n,
@@ -301,7 +346,7 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
         dep = ~lost & (rng.random(n) < channel.p_dep)
         which = rng.integers(4, size=n)
         if dep.any():
-            state = state.apply_each(
+            state = state._apply_each(
                 np.take(_PAULI_STACK, np.where(dep, which, 0), axis=0)
             )
         return state, lost
@@ -338,7 +383,7 @@ def honest_prover_basis(
     share: BasisShare = challenge.v1_classical
     states = delivered.states
     if isinstance(states, QubitArray):
-        bits = states.apply_each(_bb84_rotations(share.letters)).measure_all(rng)
+        bits = states._apply_each(_bb84_rotations(share.letters)).measure_all(rng)
     else:
         inverse = share.unitary.conj().T
         undone = apply_unitary(states, inverse, tuple(range(challenge.n)))
@@ -366,9 +411,9 @@ def honest_prover_ip(
     # the per-qubit kernel rounds differently, so the spec picks it, not the
     # copy count: an n = 1 per-qubit game keeps apply_each
     if challenge.spec.per_qubit_unitaries:
-        undone = states.apply_each(inverses)
+        undone = states._apply_each(inverses)
     else:
-        undone = states.apply_same(inverses[0])
+        undone = states._apply_same(inverses[0])
     bits = undone.measure_all(rng)
     return render_answer(bits, np.asarray(delivered.lost, dtype=bool))
 
@@ -451,8 +496,14 @@ class StateBank:
         return len(self._records)
 
 
-def bank_issue(spec: IPGameSpec, bank: StateBank, rng: RngStream) -> str:
-    challenge = gen_ip_challenge(spec, rng)
+def bank_issue(
+    spec: IPGameSpec,
+    bank: StateBank,
+    rng: RngStream,
+    closed: tuple[np.ndarray, ...] | None = None,
+) -> str:
+    """Deposit `gen_ip_challenge(spec, rng, closed)` and return its token."""
+    challenge = gen_ip_challenge(spec, rng, closed)
     token = f"sb-{next(bank._counter):06d}"
     bank._records[token] = challenge
     return token
@@ -510,12 +561,19 @@ def run_game(
 ) -> GameStats:
     """Run `trials` independent rounds and aggregate.
 
-    Trial i draws everything from rng.substream(1 + i), so results depend
-    only on (seed, trial index), never on the thread count. A finished trial
-    leaves only its row and its reserved EPR count, so memory keeps no
-    trial's challenge, state or answers. With a bank, the payload is redeemed
-    out-of-band and the channel only would have applied to the (absent)
-    transmission, so it is skipped.
+    Trial i owns the stream rng.substream(1 + i): its challenge draws first,
+    then the channel and the actor continue on the same stream object.
+    Trials run in blocks of B = max(1, BLOCK_QUBITS // n). A block makes the
+    challenges of its trials first (an IP block closes them as one stacked
+    product, see `gen_ip_block`), then runs each trial's channel, actor and
+    verification in index order. No two trials share a stream, so making
+    the challenges of trials i..i+B-1 first leaves every stream's draws in
+    their order: results depend only on (seed, trial index), never on the
+    block size or on the thread count. A pool of threads maps over blocks.
+    A finished trial leaves only its row and its reserved EPR count, so
+    memory holds no trial's challenge, state or answers past its block.
+    With a bank, the payload is redeemed out-of-band and the channel only
+    would have applied to the (absent) transmission, so it is skipped.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -524,25 +582,21 @@ def run_game(
     is_basis = isinstance(spec, BasisGameSpec)
     if bank is not None and is_basis:
         raise ValidationError("the state bank only serves the IP game")
+    size = max(1, BLOCK_QUBITS // spec.n)
     # one set.add per trial, atomic under the interpreter lock; returning the
     # count beside the row would hold a pair per trial until the end
     reserved: set[int] = set()
 
-    def one_trial(i: int) -> tuple[int, bool, int, int, int]:
-        rng_i = rng.substream(1 + i)
-        if bank is not None:
-            token = bank_issue(spec, bank, rng_i)
-            challenge = bank_redeem(bank, token)
+    def play(
+        i: int, rng_i: RngStream, challenge: Challenge
+    ) -> tuple[int, bool, int, int, int]:
+        if bank is None:
+            state, lost = apply_channel(challenge.quantum_payload, channel, rng_i)
+            delivered = DeliveredPayload(state, lost)
+        else:
             delivered = DeliveredPayload.pristine(
                 challenge.quantum_payload, challenge.n
             )
-        else:
-            if is_basis:
-                challenge = gen_basis_challenge(spec, rng_i)
-            else:
-                challenge = gen_ip_challenge(spec, rng_i)
-            state, lost = apply_channel(challenge.quantum_payload, channel, rng_i)
-            delivered = DeliveredPayload(state, lost)
         outcome = actor.run_trial(challenge, delivered, rng_i)
         if is_basis:
             verdict = verify_basis(
@@ -560,11 +614,26 @@ def run_game(
         counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
         return (i, verdict.accepted, *counts)
 
+    def run_block(start: int) -> list[tuple[int, bool, int, int, int]]:
+        rngs = [rng.substream(1 + i) for i in range(start, min(start + size, trials))]
+        if is_basis:
+            challenges = [gen_basis_challenge(spec, r) for r in rngs]
+        else:
+            challenges = [
+                gen_ip_challenge(spec, r, row)
+                if bank is None
+                else bank_redeem(bank, bank_issue(spec, bank, r, row))
+                for r, row in zip(rngs, gen_ip_block(spec, rngs))
+            ]
+        return list(map(play, itertools.count(start), rngs, challenges))
+
+    starts = range(0, trials, size)
     if threads == 1:
-        rows = tuple(map(one_trial, range(trials)))
+        rows = tuple(itertools.chain.from_iterable(map(run_block, starts)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = tuple(pool.map(one_trial, range(trials)))
+            blocks = pool.map(run_block, starts)
+            rows = tuple(itertools.chain.from_iterable(blocks))
     if len(reserved) != 1:
         raise ValidationError("strategy reported inconsistent reserved EPR counts")
     wins = sum(row[1] for row in rows)

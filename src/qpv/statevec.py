@@ -315,8 +315,18 @@ def haar_qubit_stack(calls: int, count: int, rng: RngStream) -> np.ndarray:
         raise ValidationError("calls must be at least 1")
     if count < 1:
         raise ValidationError("count must be at least 1")
-    g = rng.generator.standard_normal((calls, 2, count, 2, 2))
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
+    return haar_from_normals(rng.generator.standard_normal((calls, 2, count, 2, 2)))
+
+
+def haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """Haar 2x2 unitaries from standard normals laid out (..., re/im, count, 2, 2).
+
+    QR of each Ginibre matrix with its R diagonal phase-fixed (Mezzadri,
+    Notices AMS 54, 592 (2007)); returns shape (..., count, 2, 2). Every
+    matrix is computed on its own, so stacking more draws on the leading
+    axes leaves each result bit for bit as it is.
+    """
+    z = (g[..., 0, :, :, :] + 1j * g[..., 1, :, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
@@ -380,19 +390,38 @@ class QubitArray:
         a[np.arange(bits.shape[0]), bits] = 1.0
         return cls(a)
 
+    @classmethod
+    def _unit_rows(cls, amps: np.ndarray) -> "QubitArray":
+        """An (n, 2) table without the row-norm check: for the image of a
+        checked array under unitaries."""
+        out = cls.__new__(cls)
+        out.amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        return out
+
     def apply_same(self, u: np.ndarray) -> "QubitArray":
-        """Apply one 2x2 unitary to every qubit."""
+        """Apply one 2x2 unitary to every qubit. The rows are re-checked, so
+        a u that is not unitary raises ValidationError."""
+        return QubitArray(self._apply_same(u).amps)
+
+    def apply_each(self, us: np.ndarray) -> "QubitArray":
+        """Apply the i-th 2x2 unitary of a (n, 2, 2) stack to qubit i. The
+        rows are re-checked, so a stack that is not unitary raises
+        ValidationError."""
+        return QubitArray(self._apply_each(us).amps)
+
+    def _apply_same(self, u: np.ndarray) -> "QubitArray":
+        """apply_same for a u that is unitary by construction: no re-check."""
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (2, 2):
             raise ValidationError("expected a 2x2 matrix")
-        return QubitArray(self.amps @ u.T)
+        return QubitArray._unit_rows(self.amps @ u.T)
 
-    def apply_each(self, us: np.ndarray) -> "QubitArray":
-        """Apply the i-th 2x2 unitary of a (n, 2, 2) stack to qubit i."""
+    def _apply_each(self, us: np.ndarray) -> "QubitArray":
+        """apply_each for a stack that is unitary by construction: no re-check."""
         us = np.asarray(us, dtype=np.complex128)
         if us.shape != (self.num_qubits, 2, 2):
             raise ValidationError("expected an (n, 2, 2) stack")
-        return QubitArray(np.einsum("qij,qj->qi", us, self.amps))
+        return QubitArray._unit_rows(np.einsum("qij,qj->qi", us, self.amps))
 
     def qubit(self, i: int) -> StateVector:
         return StateVector(self.amps[i])

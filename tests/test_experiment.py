@@ -316,6 +316,15 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials, **keys):
             "d6cbb14106f5b6396469a7488c61c1afd47c374e0e26fbb98d008e92a7893dc4",
             id="sk-2-per-qubit",
         ),
+        pytest.param(
+            # 53 trials end part-way through a block of trials
+            _ip(
+                "pbt:4,4,4", 5, 2, 0.4, 0.5, 0.1, 53,
+                p_dep=0.1, per_qubit_unitaries="true",
+            ),
+            "cef785b1261a48b75e994940137aad902118cf246b572621094b87a9c19cefcb",
+            id="pbt-4-4-4-per-qubit-53",
+        ),
     ],
 )
 def test_records_match_their_frozen_digests(text, digest):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from qpv import gates
+from qpv.attacks import strategy_from_name
 from qpv.errors import BankError, ValidationError
 from qpv.layout import single_gate_layout
 from qpv.pauli import try_as_pauli
 from qpv.protocols import (
+    BLOCK_QUBITS,
     BasisGameSpec,
     ChannelModel,
     DeliveredPayload,
@@ -22,6 +24,7 @@ from qpv.protocols import (
     bank_issue,
     bank_redeem,
     gen_basis_challenge,
+    gen_ip_block,
     gen_ip_challenge,
     interleave,
     run_game,
@@ -34,6 +37,7 @@ from qpv.statevec import (
     StateVector,
     haar_qubit_stack,
     phase_invariant_distance,
+    qubit_phase_distances,
 )
 
 
@@ -171,6 +175,99 @@ def test_ip_challenge_keeps_one_layout(t, per_qubit):
         )
         rebuilt = _reconstruct_oracle(u[:, c], v[:, c])
         assert phase_invariant_distance(rebuilt, target[c]) < 1e-9
+
+
+def _per_trial_challenge(spec: IPGameSpec, rng: RngStream):
+    """One trial's IP challenge drawn and closed on its own: the per-trial
+    reference for `gen_ip_block`."""
+    x = rng.bits(spec.n)
+    copies = spec.n if spec.per_qubit_unitaries else 1
+    draws = haar_qubit_stack(2 * spec.t, copies, rng)
+    target = draws[0]
+    u = draws[1::2].copy()
+    v = np.empty_like(u)
+    v[:-1] = draws[2::2]
+    prefix = interleave(u[:-1], v[:-1]) @ u[-1]
+    v[-1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
+    assert np.all(qubit_phase_distances(target, prefix @ v[-1]) <= 1e-9)
+    columns = np.take(
+        np.swapaxes(target, -1, -2).reshape(-1, 2), x + 2 * np.arange(copies), axis=0
+    )
+    return x, target, u, v, columns
+
+
+def _challenge_arrays(challenge):
+    return (
+        challenge.secret.x,
+        challenge.secret.unitary,
+        challenge.v0_classical.factors,
+        challenge.v1_classical.factors,
+        challenge.quantum_payload.amps,
+    )
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5])
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_blocked_challenges_equal_per_trial_ones(n, t, per_qubit):
+    spec = IPGameSpec(n, t, per_qubit_unitaries=per_qubit)
+    trials = 6
+    streams = [RngStream(71, 0).substream(1 + i) for i in range(trials)]
+    block = gen_ip_block(spec, streams)
+    assert len(block) == trials
+    for i, row in enumerate(block):
+        alone = RngStream(71, 0).substream(1 + i)
+        reference = _per_trial_challenge(spec, alone)
+        one = RngStream(71, 0).substream(1 + i)
+        challenge = _challenge_arrays(gen_ip_challenge(spec, one))
+        for got, single, want in zip(row, challenge, reference):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert np.array_equal(single, want)
+        # the trial's stream goes on from where its own challenge left it
+        assert streams[i].random() == alone.random() == one.random()
+
+
+def _per_trial_rows(spec, actor, channel, trials, rng, bank):
+    """run_game's rows from one trial at a time, each challenge made alone."""
+    rows = []
+    for i in range(trials):
+        rng_i = rng.substream(1 + i)
+        x, target, u, v, columns = _per_trial_challenge(spec, rng_i)
+        challenge = gen_ip_challenge(spec, None, (x, target, u, v, columns))
+        if bank:
+            delivered = DeliveredPayload.pristine(challenge.quantum_payload, spec.n)
+        else:
+            delivered = DeliveredPayload(
+                *apply_channel(challenge.quantum_payload, channel, rng_i)
+            )
+        outcome = actor.run_trial(challenge, delivered, rng_i)
+        verdict = verify_ip(
+            x, outcome.y_alice, outcome.y_bob, spec.eta_err, spec.eta_loss
+        )
+        counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
+        rows.append((i, verdict.accepted, *counts))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("mode", ["serial", "threads", "bank"])
+@pytest.mark.parametrize(
+    "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["1", "B-1", "B", "B+1", "2B+1"],
+)
+def test_run_game_rows_match_per_trial_play_across_blocks(blocks, extra, mode):
+    spec = IPGameSpec(4, 2, eta_err=0.5, eta_loss=0.5)
+    trials = blocks * (BLOCK_QUBITS // spec.n) + extra
+    channel = ChannelModel(p_loss=0.1, p_dep=0.1)
+    actor = strategy_from_name("pbt:4,4,4")
+    banked = mode == "bank"
+    stats = run_game(
+        spec, actor, channel, trials, RngStream(73, 0),
+        bank=StateBank() if banked else None,
+        threads=2 if mode == "threads" else 1,
+    )
+    want = _per_trial_rows(spec, actor, channel, trials, RngStream(73, 0), banked)
+    assert stats.trial_rows == want
 
 
 def test_apply_channel_loss_marks_all(rng):

@@ -233,6 +233,21 @@ def test_qubit_array_matches_dense_single_qubit_ops():
         assert np.allclose(eachwise.amps[q], stack[q] @ arr.amps[q], atol=1e-12)
 
 
+def test_qubit_array_rejects_non_unitary_operators():
+    arr = QubitArray.from_bits([0, 1, 1])
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="unit norm"):
+        arr.apply_same(shear)
+    with pytest.raises(ValidationError, match="unit norm"):
+        arr.apply_each(np.stack([gates.I2, shear, gates.H]))
+    # the unchecked kernels that internal callers use give the same bits on
+    # unitaries
+    rng = RngStream(47, 0)
+    us = haar_qubit_batch(3, rng)
+    assert arr._apply_each(us).amps.tobytes() == arr.apply_each(us).amps.tobytes()
+    assert arr._apply_same(us[0]).amps.tobytes() == arr.apply_same(us[0]).amps.tobytes()
+
+
 def test_qubit_array_measurement_distribution():
     arr = QubitArray.from_bits([0, 1, 0, 1]).apply_same(gates.H)
     rng = RngStream(43, 0)
