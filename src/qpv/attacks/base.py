@@ -36,6 +36,7 @@ bits, and the ledger still charges every branch through its reserved count.
 
 from __future__ import annotations
 
+import bisect
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -197,8 +198,9 @@ class ChainGate:
     level_checks: tuple[int, ...] = ()
 
 
-# a Bell measurement's four outcomes are equally likely whatever it measures
-_BELL_OUTCOME = (0.25,) * 4
+# a Bell measurement's four outcomes are equally likely whatever it measures;
+# the running sum of their probabilities, as Generator.choice computes it
+_BELL_CDF = (0.25, 0.5, 0.75, 1.0)
 
 
 class ChainEngine:
@@ -243,7 +245,8 @@ class ChainEngine:
             x = [0] * self.n
             z = [0] * self.n
             for q in targets:
-                k = int(self.rng.choice(4, p=_BELL_OUTCOME))
+                # the draw and the index of rng.choice(4, p=(0.25,) * 4)
+                k = bisect.bisect_right(_BELL_CDF, self.rng.random())
                 x[q], z[q] = k & 1, k >> 1
             sigma = PauliOperator(x, z, 0)
             self.ledger.spend(len(targets))

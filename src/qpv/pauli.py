@@ -19,6 +19,7 @@ single-qubit Clifford can track it by index instead of by matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -28,6 +29,30 @@ from .errors import ValidationError
 from .gates import H, I2, S
 
 ATOL = 1e-8
+
+
+def _build_matrix(x_bits, z_bits, phase: int) -> np.ndarray:
+    # X^x Z^z |c> = (-1)^{c.z} |c xor x>: one signed entry per column c
+    x = z = 0
+    for xb, zb in zip(x_bits, z_bits):
+        x, z = 2 * x + xb, 2 * z + zb
+    d = 2 ** len(x_bits)
+    m = np.zeros((d, d), dtype=np.complex128)
+    for c in range(d):
+        m[c ^ x, c] = 1j**phase * (-1) ** bin(c & z).count("1")
+    return m
+
+
+# the widest register whose matrices are cached: 16 + 64 + 256 operators of
+# at most 1 KB each, so the cache stays bounded however many trials run
+_CACHED_QUBITS = 3
+
+
+@functools.cache
+def _cached_matrix(x_bits, z_bits, phase: int) -> np.ndarray:
+    m = _build_matrix(x_bits, z_bits, phase)
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True)
@@ -50,15 +75,11 @@ class PauliOperator:
         return len(self.x_bits)
 
     def matrix(self) -> np.ndarray:
-        # X^x Z^z |c> = (-1)^{c.z} |c xor x>: one signed entry per column c
-        x = z = 0
-        for xb, zb in zip(self.x_bits, self.z_bits):
-            x, z = 2 * x + xb, 2 * z + zb
-        d = 2**self.num_qubits
-        m = np.zeros((d, d), dtype=np.complex128)
-        for c in range(d):
-            m[c ^ x, c] = 1j**self.phase * (-1) ** bin(c & z).count("1")
-        return m
+        """The 2^n x 2^n matrix. Registers of at most _CACHED_QUBITS qubits
+        share one read-only array per operator; wider ones get a new array."""
+        if self.num_qubits <= _CACHED_QUBITS:
+            return _cached_matrix(self.x_bits, self.z_bits, self.phase)
+        return _build_matrix(self.x_bits, self.z_bits, self.phase)
 
     def inverse(self) -> "PauliOperator":
         # (X^x Z^z)^2 = (-1)^{x.z} I, so the inverse reuses the same bits.

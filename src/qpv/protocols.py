@@ -36,8 +36,11 @@ index order on that same stream object, which continues from where its
 challenge left it. An IP block (`gen_ip_block`) stacks its trials on a
 leading axis: normals (B, 2t, 2, copies, 2, 2), factors (B, t, copies, 2, 2),
 targets (B, copies, 2, 2) and payload columns (B, n, 2), so one QR, one
-`interleave`, one closure check and one gather serve the whole block;
-`gen_ip_challenge` makes one trial's Challenge from its row of the block.
+`interleave`, one closure check, one unit-norm check of the target columns
+and one gather serve the whole block. `gen_ip_challenge` makes one trial's
+Challenge from its row of the block; its payload rows are copies of checked
+columns, so it wraps them without a per-row check. The channel then draws
+per qubit but touches only the qubits it depolarizes.
 
 Per-qubit data are numpy arrays: the secret string x is a uint8 bit array and
 the channel's loss mask a bool array. Answers are strings over "0", "1" and
@@ -64,6 +67,7 @@ from .layout import CircuitLayout
 from .pauli import PauliOperator, random_clifford
 from .rng import RngStream
 from .statevec import (
+    ATOL_EXACT,
     QubitArray,
     StateVector,
     apply_unitary,
@@ -273,7 +277,9 @@ def gen_ip_block(
     normals, as it would for a challenge of its own. Then one stacked QR,
     one `interleave`, one closure check and one gather serve the block.
     Every 2x2 matrix is computed on its own, so each trial's challenge is
-    bit for bit the one it would get alone. Returns one row
+    bit for bit the one it would get alone. The targets' columns are
+    checked for unit norm here, once per block, since every payload row is
+    gathered from them. Returns one row
     (x, target, u, v, columns) per stream, for `gen_ip_challenge`.
     """
     n, t = spec.n, spec.t
@@ -293,6 +299,10 @@ def gen_ip_block(
     # interleave runs over its leading axis, so the factor axis goes first
     prefix = interleave(u[:, :-1].swapaxes(0, 1), v[:, :-1].swapaxes(0, 1)) @ u[:, -1]
     v[:, -1] = np.conj(np.swapaxes(prefix, -1, -2)) @ target
+    # every payload row is a column of a target, so this checks them all
+    norms = np.sqrt(np.sum(target.real**2 + target.imag**2, axis=-2))
+    if not np.all(np.abs(norms - 1.0) <= ATOL_EXACT):
+        raise ValidationError("target columns must have unit norm")
     if not np.all(qubit_phase_distances(target, prefix @ v[:, -1]) <= 1e-9):
         raise ValidationError("interleaved product failed to close")
     # U|x_q> is column x_q of copy q's unitary: in trial b, row
@@ -320,7 +330,7 @@ def gen_ip_challenge(
     return Challenge(
         "ip",
         spec.n,
-        QubitArray(columns),
+        QubitArray._unit_rows(columns),
         IpShare(u),
         IpShare(v),
         Secret(x, target),
@@ -339,6 +349,13 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
     Lost qubits are flagged, not removed; consumers must ignore their
     amplitudes. Depolarization applies a Pauli drawn uniformly from all four
     of {I, X, Y, Z}, which averages to the maximally mixed state.
+
+    A QubitArray draws loss, depolarization and the Pauli index for every
+    qubit, but only the depolarized qubits are touched: their rows are
+    gathered, rotated and scattered back into a copy. Pauli entries are 0,
+    +-1 and +-i, so a hit row gets the values a full per-qubit pass would
+    give, and every other row keeps its amplitudes (the identity would only
+    change the sign of a zero, which no |amp|^2 sees).
     """
     if isinstance(state, QubitArray):
         n = state.num_qubits
@@ -346,9 +363,10 @@ def apply_channel(state, channel: ChannelModel, rng: RngStream):
         dep = ~lost & (rng.random(n) < channel.p_dep)
         which = rng.integers(4, size=n)
         if dep.any():
-            state = state._apply_each(
-                np.take(_PAULI_STACK, np.where(dep, which, 0), axis=0)
-            )
+            hit = np.flatnonzero(dep)
+            amps = state.amps.copy()
+            amps[hit] = np.einsum("qij,qj->qi", _PAULI_STACK[which[hit]], amps[hit])
+            state = QubitArray._unit_rows(amps)
         return state, lost
     n = state.num_qubits
     lost = []

@@ -39,7 +39,7 @@ def check_unitary(m: np.ndarray, tol: float = 1e-8, name: str = "matrix") -> np.
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"{name} must be square")
     d = m.shape[0]
-    if np.max(np.abs(m.conj().T @ m - np.eye(d))) > tol:
+    if not np.all(np.abs(m.conj().T @ m - np.eye(d)) <= tol):
         raise ValidationError(f"{name} is not unitary within {tol}")
     return m
 
@@ -108,7 +108,7 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[1] != d or d < 2 or d & (d - 1):
             raise ValidationError("density matrix must be square with power-of-two dimension")
         if check:
-            if np.max(np.abs(m - m.conj().T)) > ATOL_EXACT:
+            if not np.all(np.abs(m - m.conj().T) <= ATOL_EXACT):
                 raise ValidationError("density matrix is not Hermitian")
             if abs(np.trace(m).real - 1.0) > ATOL_EXACT:
                 raise ValidationError("density matrix trace is not 1")
@@ -374,8 +374,10 @@ class QubitArray:
         if normalize:
             if np.any(norms == 0.0):
                 raise ValidationError("cannot normalize a zero row")
+            if not np.all(np.isfinite(norms)):
+                raise ValidationError("cannot normalize a row that is not finite")
             a = a / norms[:, None]
-        elif np.max(np.abs(norms - 1.0)) > ATOL_EXACT:
+        elif not np.all(np.abs(norms - 1.0) <= ATOL_EXACT):
             raise ValidationError("every qubit row must have unit norm")
         self.amps = a
 
@@ -393,7 +395,8 @@ class QubitArray:
     @classmethod
     def _unit_rows(cls, amps: np.ndarray) -> "QubitArray":
         """An (n, 2) table without the row-norm check: for the image of a
-        checked array under unitaries."""
+        checked array under unitaries, or for rows gathered from columns of
+        unitaries that were checked for unit norm."""
         out = cls.__new__(cls)
         out.amps = np.ascontiguousarray(amps, dtype=np.complex128)
         return out

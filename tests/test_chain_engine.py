@@ -11,6 +11,7 @@ ledger count, measured bit and, to rounding, the final state.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from qpv.protocols import (
     gen_basis_challenge,
 )
 from qpv.rng import RngStream
-from qpv.statevec import apply_unitary, measure_computational
+from qpv.statevec import StateVector, apply_unitary, measure_computational
 from qpv.teleport import teleport_register
 
 
@@ -181,3 +182,29 @@ def test_chain_engine_matches_the_physical_engine(game, seed, p_loss, p_dep):
     assert ledger.consumed == oracle.ledger.consumed
     assert bits == oracle_bits
     assert np.max(np.abs(engine.state.amps - premeasure.amps)) < 1e-10
+
+
+def _choice_bell_outcomes(rng: RngStream, count: int) -> list[int]:
+    """The Bell outcomes as Generator.choice draws them, one call each."""
+    return [int(rng.generator.choice(4, p=(0.25,) * 4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+def test_bell_outcomes_match_generator_choice(seed):
+    # 5,000 two-qubit hops draw 10^4 outcomes; outcome k leaves
+    # X^(k & 1) Z^(k >> 1) on its qubit
+    hops = 5000
+    live, ref = RngStream(seed, 3), RngStream(seed, 3)
+    engine = ChainEngine(
+        2, state=StateVector.zero(2), rng=live,
+        ledger=EntanglementLedger(2 * hops),
+    )
+    transcript = engine.transcript
+    outcomes = []
+    for _ in range(hops):
+        sent = transcript.alice if engine.holder == ALICE else transcript.bob
+        engine._hop((0, 1))
+        sigma = sent[-1]
+        outcomes += [x + 2 * z for x, z in zip(sigma.x_bits, sigma.z_bits)]
+    assert outcomes == _choice_bell_outcomes(ref, 2 * hops)
+    assert live.random() == ref.random()

@@ -201,6 +201,15 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials, **keys):
             id="honest-ip",
         ),
         pytest.param(
+            # a tenth of the qubits lost, each kept one depolarized at 1/2
+            _config(
+                game="ip", n=2000, actor="honest", t=2, p_loss=0.1, p_dep=0.5,
+                trials=5, seed=11,
+            ),
+            "d644c6703fdd35e19535899954c11e2473d56ffc02de70042b3facce29ea27c6",
+            id="honest-ip-half-depolarized",
+        ),
+        pytest.param(
             FROZEN_HONEST_BASIS,
             "3535a79cbdebaa819ffb820ec472e730b8e922ce21247bf8b22effac7a59d191",
             id="honest-bb84",

@@ -1,6 +1,7 @@
 """Pauli algebra, recognition, and the Clifford hierarchy predicates."""
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -183,3 +184,33 @@ def test_try_as_pauli_inverts_matrix(p):
 @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
 def test_try_as_pauli_rejects_haar_unitaries(n, seed):
     assert try_as_pauli(haar_random_unitary(2**n, RngStream(seed, 0))) is None
+
+
+def loop_matrix(p: PauliOperator) -> np.ndarray:
+    """The matrix built entry by entry, one signed entry per column."""
+    d = 2**p.num_qubits
+    x = int("".join(map(str, p.x_bits)), 2)
+    z = int("".join(map(str, p.z_bits)), 2)
+    m = np.zeros((d, d), dtype=np.complex128)
+    for c in range(d):
+        m[c ^ x, c] = 1j**p.phase * (-1) ** bin(c & z).count("1")
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cached_matrices_equal_the_loop_built_ones_and_are_read_only(n):
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        for phase in range(4):
+            p = PauliOperator(bits[:n], bits[n:], phase)
+            m = p.matrix()
+            assert np.array_equal(m, loop_matrix(p))
+            assert not m.flags.writeable
+            # equal operators share the one cached array
+            assert PauliOperator(bits[:n], bits[n:], phase).matrix() is m
+
+
+def test_wide_registers_build_a_fresh_writeable_matrix():
+    p = PauliOperator((1, 0, 1, 1), (0, 1, 1, 0), 3)
+    m = p.matrix()
+    assert np.array_equal(m, loop_matrix(p))
+    assert m.flags.writeable and p.matrix() is not m

@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qpv import gates
+from qpv import gates, protocols
 from qpv.attacks import strategy_from_name
 from qpv.errors import BankError, ValidationError
 from qpv.layout import single_gate_layout
@@ -286,6 +286,59 @@ def test_apply_channel_depolarizing_flip_rate(rng):
     assert not any(lost)
     flips = int(np.sum(noisy.measure_all(rng)))
     assert abs(flips / trials - 0.2) < 0.025
+
+
+# the channel as it once was: every qubit rotated by a dense (n, 2, 2) stack,
+# the identity on each qubit the channel does not depolarize
+_DENSE_PAULIS = np.stack([gates.I2, gates.X, gates.Y, gates.Z])
+
+
+def _dense_channel(state, channel, rng):
+    n = state.num_qubits
+    lost = rng.random(n) < channel.p_loss
+    dep = ~lost & (rng.random(n) < channel.p_dep)
+    which = rng.integers(4, size=n)
+    if dep.any():
+        state = state._apply_each(
+            np.take(_DENSE_PAULIS, np.where(dep, which, 0), axis=0)
+        )
+    return state, lost
+
+
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+@pytest.mark.parametrize("p_loss", [0.0, 0.3])
+@pytest.mark.parametrize("p_dep", [0.0, 0.02, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+def test_channel_equals_the_dense_per_qubit_pass(n, p_dep, p_loss, per_qubit):
+    spec = IPGameSpec(n, 2, per_qubit_unitaries=per_qubit)
+    payload = gen_ip_challenge(spec, RngStream(79, 1)).quantum_payload
+    sent = payload.amps.copy()
+    channel = ChannelModel(p_loss=p_loss, p_dep=p_dep)
+    live, ref = RngStream(79, 2), RngStream(79, 2)
+    state, lost = apply_channel(payload, channel, live)
+    want, want_lost = _dense_channel(payload, channel, ref)
+    assert np.array_equal(state.amps, want.amps)
+    assert np.array_equal(lost, want_lost)
+    assert live.random() == ref.random()
+    assert np.array_equal(payload.amps, sent)
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-6, float("nan")], ids=["off-norm", "nan"])
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+def test_ip_block_checks_the_target_columns(monkeypatch, per_qubit, bad):
+    real = protocols.haar_from_normals
+
+    def spoiled(normals):
+        draws = real(normals)
+        # the last copy's target (draw 0 of each trial), first column only
+        draws[:, 0, -1, :, 0] *= bad
+        return draws
+
+    monkeypatch.setattr(protocols, "haar_from_normals", spoiled)
+    spec = IPGameSpec(5, 2, per_qubit_unitaries=per_qubit)
+    streams = [RngStream(83, 0).substream(1 + i) for i in range(3)]
+    with pytest.raises(ValidationError, match="target columns must have unit norm"):
+        gen_ip_block(spec, streams)
 
 
 def test_verify_basis_inclusive_threshold():

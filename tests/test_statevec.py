@@ -17,6 +17,7 @@ from qpv.statevec import (
     bell_measurement,
     bell_pair,
     bits_of_index,
+    check_unitary,
     embed_operator,
     fidelity,
     haar_qubit_batch,
@@ -255,3 +256,32 @@ def test_qubit_array_measurement_distribution():
     for i in range(1500):
         counts += arr.measure_all(rng.substream(1 + i))
     assert np.all(np.abs(counts / 1500 - 0.5) < 0.05)
+
+
+NAN = float("nan")
+
+
+def test_qubit_array_rejects_a_nan_row():
+    with pytest.raises(ValidationError, match="unit norm"):
+        QubitArray([[NAN, 0.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [NAN, float("inf")])
+def test_qubit_array_will_not_normalize_a_row_that_is_not_finite(bad):
+    with pytest.raises(ValidationError, match="not finite"):
+        QubitArray([[bad, 0.0], [1.0, 0.0]], normalize=True)
+
+
+def test_apply_same_rejects_a_nan_operator():
+    with pytest.raises(ValidationError, match="unit norm"):
+        QubitArray.from_bits([0, 1]).apply_same(np.array([[NAN, 0.0], [0.0, 1.0]]))
+
+
+def test_check_unitary_rejects_nan():
+    with pytest.raises(ValidationError, match="not unitary"):
+        check_unitary(np.full((2, 2), NAN))
+
+
+def test_density_matrix_rejects_a_nan_entry():
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        DensityMatrix(np.array([[0.5, NAN], [0.0, 0.5]]))
