@@ -17,9 +17,9 @@ pre-agreed randomness, which is the whole one-round constraint: after the
 exchange both parties hold exactly these, so they give the same string and
 it is decoded once.
 
-The chain engine below drives the teleportation attacks. It tracks the
-outer operator O and the ideal inverse W that the strips accumulate, both
-register-wide, so that
+The chain engine below drives the teleportation attacks. A live engine
+tracks the outer operator O and the ideal inverse W that the strips
+accumulate, both register-wide, so that
 
     product of all operators applied so far = O * W.
 
@@ -37,13 +37,14 @@ bits, and the ledger still charges every branch through its reserved count.
 from __future__ import annotations
 
 import bisect
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import BoundCheckError, StrategyError
-from ..pauli import PauliOperator, hierarchy_level, try_as_pauli
+from ..pauli import PauliOperator, hierarchy_level, pauli_from_masks, try_as_pauli
 from ..protocols import Challenge, DeliveredPayload, TrialOutcome
 from ..rng import RngStream
 from ..statevec import StateVector, apply_unitary, measure_computational
@@ -197,6 +198,10 @@ class ChainGate:
     label: str = ""
     level_checks: tuple[int, ...] = ()
 
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        return self.matrix.conj().T
+
 
 # a Bell measurement's four outcomes are equally likely whatever it measures;
 # the running sum of their probabilities, as Generator.choice computes it
@@ -212,7 +217,8 @@ class ChainEngine:
     the transcript and charges the ledger; the payload stays as delivered
     until measure() evolves it once by O W. Replay mode (state None) reads
     the corrections back from the exchanged transcripts, so the answer is
-    decoded by replaying the identical control flow.
+    decoded by replaying the identical control flow. A replay engine tracks
+    O only: W serves measure(), which a replay engine cannot call.
     """
 
     def __init__(
@@ -231,7 +237,7 @@ class ChainEngine:
         self.ledger = ledger
         self.live = state is not None
         self.outer = np.eye(2**n, dtype=np.complex128)
-        self.inverse = np.eye(2**n, dtype=np.complex128)
+        self.inverse = np.eye(2**n, dtype=np.complex128) if self.live else None
         self.holder = ALICE
         self.transcript = CorrectionTranscript(alice_sigmas, bob_sigmas)
 
@@ -242,13 +248,17 @@ class ChainEngine:
         outcome k and leaves X^(k & 1) Z^(k >> 1) on it."""
         sender = self.holder
         if self.live:
-            x = [0] * self.n
-            z = [0] * self.n
+            n = self.n
+            x = z = 0
             for q in targets:
-                # the draw and the index of rng.choice(4, p=(0.25,) * 4)
+                # the draw and the index of Generator.choice(4, p=(0.25,) * 4)
                 k = bisect.bisect_right(_BELL_CDF, self.rng.random())
-                x[q], z[q] = k & 1, k >> 1
-            sigma = PauliOperator(x, z, 0)
+                bit = 1 << (n - 1 - q)
+                if k & 1:
+                    x |= bit
+                if k >> 1:
+                    z |= bit
+            sigma = pauli_from_masks(n, x, z)
             self.ledger.spend(len(targets))
             self.transcript.record(sender, sigma)
         else:
@@ -272,9 +282,9 @@ class ChainEngine:
         the Pauli group afterwards, which signals a wrong declared level.
         """
         self.move_to(gate.owner)
-        g = gate.matrix
-        self.outer = g.conj().T @ self.outer @ g
-        self.inverse = g.conj().T @ self.inverse
+        self.outer = gate.adjoint @ self.outer @ gate.matrix
+        if self.live:
+            self.inverse = gate.adjoint @ self.inverse
         for burns in range(gate.max_burns):
             check = gate.level_checks[burns] if burns < len(gate.level_checks) else None
             self._burn(gate.targets, check)

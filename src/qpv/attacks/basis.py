@@ -260,6 +260,7 @@ class LayoutAttack(ChainAttack):
                     raise ValidationError("layout gates must sit in level 3 or below")
         self.layout = layout
         self.name = "layout"
+        self.reserved = layout_cost(layout).reserved_epr
         self.chain = [
             ChainGate(
                 embed_operator(gate.gate, gate.targets, layout.n),
@@ -273,7 +274,7 @@ class LayoutAttack(ChainAttack):
         ]
 
     def reserved_epr(self, challenge: Challenge) -> int:
-        return layout_cost(self.layout).reserved_epr
+        return self.reserved
 
     def _gates(self, challenge: Challenge) -> list[ChainGate]:
         return self.chain

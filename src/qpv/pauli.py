@@ -5,6 +5,12 @@ a phase exponent p mod 4, denoting i^p * prod_j X_j^{x_j} Z_j^{z_j} (X to
 the left of Z on each qubit). Composition and action on basis states are
 then integer arithmetic; matrices are only built to cross-check.
 
+Registers of at most _CACHED_QUBITS qubits share one interned operator per
+(x, z, phase), and one read-only matrix per operator. `try_as_pauli` reads
+its candidate from the few entries that name it, takes the interned
+operator, and confirms it against every entry of the matrix; the teleport
+chain's per-hop corrections come from the same table.
+
 Hierarchy levels follow the recursive definition: C_1 is the Pauli group and
 U is in C_{k+1} iff U sigma U^dag is in C_k for every Pauli sigma. For k >= 3
 the levels are not groups, so membership is tested by conjugating all 4^n
@@ -19,8 +25,10 @@ single-qubit Clifford can track it by index instead of by matrix.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,46 +124,76 @@ def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     )
 
 
+def bits_of_index(index: int, n: int) -> tuple[int, ...]:
+    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
+
+
+@functools.cache
+def _interned(n: int, x: int, z: int, phase: int) -> PauliOperator:
+    return PauliOperator(bits_of_index(x, n), bits_of_index(z, n), phase)
+
+
+def pauli_from_masks(n: int, x: int, z: int, phase: int = 0) -> PauliOperator:
+    """i^phase X^x Z^z on n qubits, the bits of x and z read first qubit
+    first. Registers of at most _CACHED_QUBITS qubits share one interned
+    operator per (x, z, phase); wider ones get a new operator."""
+    if n <= _CACHED_QUBITS:
+        return _interned(n, x, z, phase % 4)
+    return PauliOperator(bits_of_index(x, n), bits_of_index(z, n), phase)
+
+
+# i^k for k = 0..3
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
+_QUARTER_TURN = math.pi / 2
+
+
 def try_as_pauli(m: np.ndarray, tol: float = ATOL) -> PauliOperator | None:
-    """Exact Pauli representation of a matrix, or None if it is not one."""
+    """Exact Pauli representation of a matrix, or None if it is not one.
+
+    The largest entry of column 0, at `row`, names the candidate's X bits
+    and phase; the entry at (row ^ col, col) for each one-qubit column
+    names a Z bit. The candidate is then confirmed against every entry.
+    A non-finite entry fails one of these tests, so it gives None.
+    """
     m = np.asarray(m, dtype=np.complex128)
     d = m.shape[0]
     if m.ndim != 2 or m.shape[1] != d or d & (d - 1):
         raise ValidationError("matrix must be square with power-of-two dimension")
     n = d.bit_length() - 1
 
-    col0 = m[:, 0]
-    row = int(np.argmax(np.abs(col0)))
+    col0 = m[:, 0].tolist()
+    mags = list(map(abs, col0))
+    row = mags.index(max(mags))
     c = col0[row]
-    if abs(abs(c) - 1.0) > tol:
+    if not abs(mags[row] - 1.0) <= tol:
         return None
-    k = int(np.round(np.angle(c) / (np.pi / 2))) % 4
-    if abs(c - 1j**k) > tol:
+    k = round(cmath.phase(c) / _QUARTER_TURN) % 4
+    unit = _PHASES[k]
+    if abs(c - unit) > tol:
         return None
 
-    x_bits = tuple((row >> (n - 1 - j)) & 1 for j in range(n))
-    z_bits = []
+    z = 0
     for j in range(n):
         col = 1 << (n - 1 - j)
-        val = m[row ^ col, col]
-        if abs(val - 1j**k) <= tol:
-            z_bits.append(0)
-        elif abs(val + 1j**k) <= tol:
-            z_bits.append(1)
+        val = m.item(row ^ col, col)
+        if abs(val - unit) <= tol:
+            z <<= 1
+        elif abs(val + unit) <= tol:
+            z = (z << 1) | 1
         else:
             return None
 
-    cand = PauliOperator(x_bits, tuple(z_bits), k)
-    if np.max(np.abs(m - cand.matrix())) > tol:
+    cand = pauli_from_masks(n, row, z, k)
+    if not np.abs(m - cand.matrix()).max() <= tol:
         return None
     return cand
 
 
 def phaseless_paulis(n: int):
     """All 4^n operators X^x Z^z with phase exponent 0, identity first."""
-    for x_bits in itertools.product((0, 1), repeat=n):
-        for z_bits in itertools.product((0, 1), repeat=n):
-            yield PauliOperator(x_bits, z_bits, 0)
+    for x in range(2**n):
+        for z in range(2**n):
+            yield pauli_from_masks(n, x, z)
 
 
 def is_clifford(u: np.ndarray, tol: float = ATOL) -> bool:
@@ -207,7 +245,7 @@ def hierarchy_level(u: np.ndarray, k_max: int = 4, tol: float = ATOL) -> Hierarc
         raise ValidationError("hierarchy_level supports n <= 2")
     if k_max > 4:
         raise ValidationError("hierarchy_level supports k_max <= 4")
-    if np.max(np.abs(u @ u.conj().T - np.eye(d))) > 1e-6:
+    if not np.all(np.abs(u @ u.conj().T - np.eye(d)) <= 1e-6):
         raise ValidationError("matrix is not unitary")
     for k in range(1, k_max + 1):
         if _in_level(u, k, tol):

@@ -51,6 +51,3 @@ class RngStream:
     def bits(self, count: int) -> np.ndarray:
         """`count` uniform bits as uint8."""
         return self._gen.integers(0, 2, size=count).astype(np.uint8)
-
-    def choice(self, options, p=None):
-        return self._gen.choice(options, p=p)

@@ -16,15 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import PauliOperator
+from .pauli import PauliOperator, bits_of_index
 from .rng import RngStream
 
 ATOL_EXACT = 1e-10
 ATOL_EIG = 1e-8
-
-
-def bits_of_index(index: int, n: int) -> tuple[int, ...]:
-    return tuple((index >> (n - 1 - j)) & 1 for j in range(n))
 
 
 def index_of_bits(bits) -> int:
@@ -172,7 +168,10 @@ def measure_computational(
     rows = np.transpose(state.amps.reshape((2,) * n), perm).reshape(2**k, -1)
     marg = np.sum(np.abs(rows) ** 2, axis=1)
     marg = marg / marg.sum()
-    outcome = int(rng.choice(2**k, p=marg))
+    # the draw and the index of Generator.choice(2**k, p=marg)
+    cdf = marg.cumsum()
+    cdf /= cdf[-1]
+    outcome = int(cdf.searchsorted(rng.random(), side="right"))
     bits = bits_of_index(outcome, k)
 
     picked = rows[outcome]

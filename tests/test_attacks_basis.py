@@ -399,6 +399,41 @@ def test_layout_chain_keeps_its_draws():
     assert chain_draws_digest(23) != frozen
 
 
+def premeasure_digest(spec, attack, seed: int, trials: int = 60) -> str:
+    """sha256 over `trials` trials at p_dep = 0.2: the live engine's register
+    just before Bob measures (the amplitude bytes), Bob's outcome and the
+    answer."""
+    channel = ChannelModel(p_dep=0.2)
+    digest = hashlib.sha256()
+    for i in range(trials):
+        rng = RngStream(seed, 0).substream(1 + i)
+        challenge = gen_basis_challenge(spec, rng)
+        state, lost = apply_channel(challenge.quantum_payload, channel, rng)
+        trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
+        to_bob, to_alice = attack.round1_alice(trial), attack.round1_bob(trial)
+        y = attack.answer(trial, to_bob, to_alice)
+        digest.update(trial.bob["premeasure"].amps.tobytes())
+        digest.update(bytes(trial.bob["bits"]))
+        digest.update(y.encode())
+    return digest.hexdigest()
+
+
+def test_chain_keeps_its_premeasure_float_bits():
+    # every float the live chain computes reaches the measured register, so
+    # a change to the order of any product shows here though no answer moves
+    layout = load_layout(CHAIN5)
+    chain5 = premeasure_digest(
+        BasisGameSpec(2, "layout", layout=layout), LayoutAttack(layout), 5
+    )
+    tree4 = premeasure_digest(tree_spec(gates.phase_gate(4)), TreeAttack(4), 5)
+    assert chain5 == (
+        "b5b69267fa2eaddb0399878d2308b5df0d2729d6f4807d26f98c3443ebcf993c"
+    )
+    assert tree4 == (
+        "ad638a09b01029b891c331920aa25f417f624900b062cdc6893e670784a79ef9"
+    )
+
+
 def test_pooled_trials_share_one_layout_product():
     # every trial of a fresh layout races to build its cached product first
     def play_fresh(threads):

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpv import gates
+from qpv.errors import ValidationError
 from qpv.pauli import (
+    ATOL,
+    CLIFFORD_1Q,
     PauliOperator,
     count_pauli_preserving,
     hierarchy_level,
@@ -214,3 +217,102 @@ def test_wide_registers_build_a_fresh_writeable_matrix():
     m = p.matrix()
     assert np.array_equal(m, loop_matrix(p))
     assert m.flags.writeable and p.matrix() is not m
+
+
+def oracle_try_as_pauli(m, tol=ATOL):
+    """try_as_pauli as it stood before its candidate was interned: numpy
+    scalars locate the candidate, and a fresh operator is built each call."""
+    m = np.asarray(m, dtype=np.complex128)
+    d = m.shape[0]
+    n = d.bit_length() - 1
+
+    col0 = m[:, 0]
+    row = int(np.argmax(np.abs(col0)))
+    c = col0[row]
+    if abs(abs(c) - 1.0) > tol:
+        return None
+    k = int(np.round(np.angle(c) / (np.pi / 2))) % 4
+    if abs(c - 1j**k) > tol:
+        return None
+
+    x_bits = tuple((row >> (n - 1 - j)) & 1 for j in range(n))
+    z_bits = []
+    for j in range(n):
+        col = 1 << (n - 1 - j)
+        val = m[row ^ col, col]
+        if abs(val - 1j**k) <= tol:
+            z_bits.append(0)
+        elif abs(val + 1j**k) <= tol:
+            z_bits.append(1)
+        else:
+            return None
+
+    cand = PauliOperator(x_bits, tuple(z_bits), k)
+    if np.max(np.abs(m - cand.matrix())) > tol:
+        return None
+    return cand
+
+
+def phased_paulis(n):
+    for bits in itertools.product((0, 1), repeat=2 * n):
+        for phase in range(4):
+            yield PauliOperator(bits[:n], bits[n:], phase)
+
+
+def perturbed(m, delta, rng):
+    """m with every entry moved by delta along a random axis or diagonal,
+    and, separately, only the largest entry of column 0 moved by delta."""
+    signs = rng.integers(-1, 2, size=(2,) + m.shape)
+    yield m + delta * (signs[0] + 1j * signs[1])
+    one = m.copy()
+    one[int(np.argmax(np.abs(m[:, 0]))), 0] += delta
+    yield one
+
+
+def equivalence_inputs(n):
+    rng = np.random.default_rng(n)
+    paulis = [p.matrix() for p in phased_paulis(n)]
+    yield from paulis
+    for m in paulis:
+        for scale in (0.5, -0.5, 2.0, -2.0):
+            yield from perturbed(m, scale * ATOL, rng)
+    eye = np.eye(2 ** (n - 1))
+    for c in CLIFFORD_1Q:
+        embedded = np.kron(c, eye)
+        yield embedded
+        # C P C^dag is a Pauli up to the rounding of the products
+        for p in paulis[:: max(1, len(paulis) // 16)]:
+            yield embedded @ p @ embedded.conj().T
+    for seed in range(40):
+        yield haar_random_unitary(2**n, RngStream(seed, n))
+
+
+def verdict(p):
+    return None if p is None else (p.x_bits, p.z_bits, p.phase)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_try_as_pauli_matches_the_oracle(n):
+    inputs = list(equivalence_inputs(n))
+    found = 0
+    for m in inputs:
+        want = verdict(oracle_try_as_pauli(m))
+        assert verdict(try_as_pauli(m)) == want
+        found += want is not None
+    # the inputs hold Paulis and non-Paulis alike
+    assert 0 < found < len(inputs)
+
+
+def test_try_as_pauli_is_none_for_a_non_finite_matrix():
+    for bad in (np.nan, np.inf, complex(0, np.nan)):
+        for row, col in ((0, 0), (1, 0), (1, 1), (3, 2)):
+            m = np.kron(gates.X, gates.Z).astype(np.complex128)
+            m[row, col] = bad
+            assert try_as_pauli(m) is None
+    assert try_as_pauli(np.full((2, 2), np.nan)) is None
+
+
+def test_hierarchy_level_rejects_a_nan_matrix():
+    for m in (np.full((2, 2), np.nan), np.where(np.eye(4), np.nan, 0.0)):
+        with pytest.raises(ValidationError, match="not unitary"):
+            hierarchy_level(m)

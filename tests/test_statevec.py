@@ -103,6 +103,23 @@ def test_measure_computational_collapses():
     assert abs(abs(post.amps[idx]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [5, 23])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_measurement_outcomes_match_generator_choice(seed, k):
+    # the Born marginal over the first k of 4 qubits, drawn the way
+    # Generator.choice(2**k, p=marg) draws it
+    states = RngStream(seed, 1)
+    live, ref = RngStream(seed, 2), RngStream(seed, 2)
+    targets = list(range(k))
+    for _ in range(300):
+        state = haar_random_state(4, states)
+        marg = np.sum(np.abs(state.amps.reshape(2**k, -1)) ** 2, axis=1)
+        want = int(ref.generator.choice(2**k, p=marg / marg.sum()))
+        bits, _ = measure_computational(state, targets, live)
+        assert index_of_bits(bits) == want
+    assert live.random() == ref.random()
+
+
 def test_measurement_statistics_of_plus_state():
     ones = 0
     trials = 2000
