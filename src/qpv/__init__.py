@@ -30,7 +30,6 @@ from .costs import (
     tree_cost,
 )
 from .errors import (
-    BankError,
     BoundCheckError,
     ConfigError,
     ConvergenceError,
@@ -71,11 +70,8 @@ from .protocols import (
     GameStats,
     HonestProver,
     IPGameSpec,
-    StateBank,
     TrialOutcome,
     Verdict,
-    bank_issue,
-    bank_redeem,
     gen_basis_challenge,
     gen_ip_challenge,
     run_game,
@@ -106,7 +102,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ARTIFACT_VERSION",
     "SCHEMA_VERSION",
-    "BankError",
     "BasisGameSpec",
     "BoundCheckError",
     "Challenge",
@@ -134,14 +129,11 @@ __all__ = [
     "ResourceError",
     "RngStream",
     "RunPayload",
-    "StateBank",
     "StateVector",
     "StrategyError",
     "TrialOutcome",
     "ValidationError",
     "Verdict",
-    "bank_issue",
-    "bank_redeem",
     "build_net",
     "build_pbt_channel",
     "canonical_json",

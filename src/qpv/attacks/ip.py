@@ -268,7 +268,8 @@ class SkAttack(CoalitionStrategy):
         self.net = build_net(l0)
         if depth > 0:
             # check before any trial: a pinned net reads its constants and any
-            # other calibrates here, so pooled trials never race to calibrate
+            # other calibrates here, so a net too coarse to contract fails
+            # before the first trial
             self.net.ensure_convergent()
         # concatenation never lengthens words past the 5x recursion growth
         self.word_cap = l0 * 5**depth
@@ -466,11 +467,7 @@ class LossyConfidenceAttack(RandomBasisAttack):
     than busting the loss clause.
     """
 
-    def __init__(self, eta_loss: float | None = None):
-        if eta_loss is not None and not 0.0 <= eta_loss <= 1.0:
-            raise ValidationError("eta_loss must lie in [0, 1]")
-        self.eta_loss = eta_loss
-        self.name = "lossy-confidence"
+    name = "lossy-confidence"
 
     def _drop_mask(self, trial, lost, budget: int) -> np.ndarray:
         """Budgeted empty positions: the first `budget` lost ones, topped up
@@ -486,9 +483,6 @@ class LossyConfidenceAttack(RandomBasisAttack):
 
     def _render(self, trial, guess, lost) -> str:
         n = trial.challenge.n
-        eta = self.eta_loss
-        if eta is None:
-            eta = trial.challenge.spec.eta_loss
-        budget = max(0, math.ceil(eta * n) - 1)
+        budget = max(0, math.ceil(trial.challenge.spec.eta_loss * n) - 1)
         drop = self._drop_mask(trial, lost, budget)
         return render_answer(with_fallback(trial, guess, lost & ~drop), drop)

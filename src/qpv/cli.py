@@ -37,13 +37,14 @@ from .experiment import (
     canonical_json,
     compare_bounds,
     emit_plot_data,
+    format_value,
     parse_config,
     render_compare_table,
     run_experiment,
 )
 from .gates import GATES
 from .layout import load_layout
-from .rng import RngStream
+from .rng import MAX_SEED, RngStream
 from .sk import build_net, sk_decompose, su2_distance, to_su2
 from .teleport import build_pbt_channel, pbt_fidelity_curve
 
@@ -67,12 +68,6 @@ def _build_parser() -> _Parser:
     run.add_argument("config", help="path to a key = value config file")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--trials", type=int, default=None)
-    run.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="trial pool size; 0 or 1 runs trials serially (default: the config's threads)",
-    )
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -147,9 +142,7 @@ def _flatten(record: dict, prefix: str = "") -> list[tuple[str, object]]:
 def _flat_csv(record: dict) -> str:
     lines = ["key,value"]
     for path, value in _flatten(record):
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        lines.append(f"{path},{value}")
+        lines.append(f"{path},{format_value(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -159,9 +152,7 @@ def _emit_record(record: dict, fmt: str, out: Optional[str]):
 
 def _cmd_run(args) -> int:
     config = parse_config(_read_text(args.config))
-    config = apply_overrides(
-        config, seed=args.seed, trials=args.trials, threads=args.threads, out=args.out
-    )
+    config = apply_overrides(config, seed=args.seed, trials=args.trials, out=args.out)
     payload = run_experiment(config)
     body = canonical_json(payload.record) if args.format == "json" else payload.trial_csv
     _deliver(body, config.out)
@@ -315,18 +306,20 @@ def _cmd_pbt_bench(args) -> int:
         raise ValidationError("trials must be at least 1")
     if args.seed < 0:
         raise ValidationError("seed must be non-negative")
+    if args.seed > MAX_SEED:
+        raise ValidationError(f"seed must be at most {MAX_SEED}")
     rng = RngStream(args.seed, stream=0)
     start = time.perf_counter()
-    ((ports, mean, stderr),) = pbt_fidelity_curve([args.ports], args.trials, rng)
+    mean, stderr = pbt_fidelity_curve(args.ports, args.trials, rng)
     record = {
         "artifact_version": ARTIFACT_VERSION,
         "kind": "pbt-bench",
-        "ports": ports,
+        "ports": args.ports,
         "trials": args.trials,
         "seed": args.seed,
         "metrics": {"fidelity": {"mean": mean, "stderr": stderr}},
-        "fidelity_exact": build_pbt_channel(ports).average_fidelity,
-        "fidelity_bound": pbt_fidelity_bound([ports]).value,
+        "fidelity_exact": build_pbt_channel(args.ports).average_fidelity,
+        "fidelity_bound": pbt_fidelity_bound([args.ports]).value,
         "wall_clock_seconds": round(time.perf_counter() - start, 6),
     }
     _emit_record(record, args.format, args.out)

@@ -25,9 +25,5 @@ class StrategyError(QpvError):
     """Attack strategy incompatible with the game or internally failed."""
 
 
-class BankError(QpvError):
-    """Unknown or already-redeemed state-bank token."""
-
-
 class BoundCheckError(QpvError):
     """An empirical quantity violated its declared bound."""

@@ -8,7 +8,7 @@ record: the full config echo, per-metric means with standard errors, the EPR
 ledger summary, and a wall clock, plus a CSV with one row per trial. A trial
 leaves only that row behind, and every statistic is computed once, from the
 rows. Two runs with the same config produce byte-identical canonical JSON
-apart from the wall clock, regardless of the thread count.
+apart from the wall clock.
 
 compare_bounds lines up a result record against a cost record and checks
 each comparable quantity (reserved EPR against the closed-form cap, measured
@@ -33,10 +33,9 @@ from .protocols import (
     GameStats,
     HonestProver,
     IPGameSpec,
-    StateBank,
     run_game,
 )
-from .rng import RngStream
+from .rng import MAX_SEED, RngStream
 
 ARTIFACT_VERSION = 1
 SCHEMA_VERSION = 1
@@ -58,8 +57,9 @@ _IP_ONLY = ("t", "eta_err", "eta_loss", "per_qubit_unitaries")
 class ExperimentConfig:
     """Validated, fully typed description of one Monte Carlo experiment.
 
-    threads = 0 (the default) and threads = 1 run trials serially; a larger
-    value runs them on a pool of that many threads. Keys that belong to the
+    With bank = true the IP payload is delivered as sent, through no
+    channel. threads is validated and echoed in the record but changes
+    nothing: trials always run one after another. Keys that belong to the
     other protocol family keep their defaults and are rejected if a config
     file tries to set them.
     """
@@ -209,6 +209,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"{ctx(key)}{key} must be at least {lo}, got {values[key]}"
             )
+    if values.get("seed", 0) > MAX_SEED:
+        raise ConfigError(
+            f"{ctx('seed')}seed must be at most {MAX_SEED}, got {values['seed']}"
+        )
     for key in _FLOAT_KEYS:
         if key in values and not 0.0 <= values[key] <= 1.0:
             raise ConfigError(
@@ -217,7 +221,8 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _format_value(value) -> str:
+def format_value(value) -> str:
+    """A scalar as config and CSV text: booleans as true and false."""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
@@ -225,12 +230,12 @@ def _format_value(value) -> str:
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical config text; parse_config(serialize_config(c)) == c."""
-    lines = [f"{key} = {_format_value(value)}" for key, value in config.as_dict().items()]
+    lines = [f"{key} = {format_value(value)}" for key, value in config.as_dict().items()]
     return "\n".join(lines) + "\n"
 
 
 def build_spec(config: ExperimentConfig):
-    """Config -> (game spec, channel, optional bank)."""
+    """Config -> (game spec, channel); the channel is None in bank mode."""
     if config.game == "basis":
         layout = None
         if config.family == "layout":
@@ -246,9 +251,8 @@ def build_spec(config: ExperimentConfig):
             eta_loss=config.eta_loss,
             per_qubit_unitaries=config.per_qubit_unitaries,
         )
-    channel = ChannelModel(config.p_loss, config.p_dep)
-    bank = StateBank() if config.bank else None
-    return spec, channel, bank
+    channel = None if config.bank else ChannelModel(config.p_loss, config.p_dep)
+    return spec, channel
 
 
 def resolve_actor(name: str):
@@ -288,22 +292,13 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
     run_game leaves one row per trial and computes every mean once from the
     rows; the record formats those means and takes each standard error
     around them. Rows are kept in index order, so the record and the trial
-    CSV depend only on the config (seed included), never on the thread
-    count.
+    CSV depend only on the config (seed included).
     """
-    spec, channel, bank = build_spec(config)
+    spec, channel = build_spec(config)
     actor = resolve_actor(config.actor)
     rng = RngStream(config.seed, stream=0)
     start = time.perf_counter()
-    stats = run_game(
-        spec,
-        actor,
-        channel,
-        trials=config.trials,
-        rng=rng,
-        bank=bank,
-        threads=max(config.threads, 1),
-    )
+    stats = run_game(spec, actor, channel, trials=config.trials, rng=rng)
     elapsed = time.perf_counter() - start
     rows = stats.trial_rows
     record = {
@@ -401,12 +396,6 @@ def _dig(record: dict, path: str, index: int):
     return node
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def emit_plot_data(records: list[dict], axes: list[str]) -> str:
     """Flatten result records into CSV with one column per dotted path.
 
@@ -426,7 +415,7 @@ def emit_plot_data(records: list[dict], axes: list[str]) -> str:
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise ValidationError(f"record {index} is not a JSON object")
-        lines.append(",".join(_csv_cell(_dig(record, axis, index)) for axis in axes))
+        lines.append(",".join(format_value(_dig(record, axis, index)) for axis in axes))
     return "\n".join(lines) + "\n"
 
 
@@ -434,7 +423,6 @@ def apply_overrides(
     config: ExperimentConfig,
     seed: Optional[int] = None,
     trials: Optional[int] = None,
-    threads: Optional[int] = None,
     out: Optional[str] = None,
 ) -> ExperimentConfig:
     """Command-line overrides; the record echoes the effective values."""
@@ -442,15 +430,13 @@ def apply_overrides(
     if seed is not None:
         if seed < 0:
             raise ValidationError("seed must be non-negative")
+        if seed > MAX_SEED:
+            raise ValidationError(f"seed must be at most {MAX_SEED}")
         updates["seed"] = seed
     if trials is not None:
         if trials < 1:
             raise ValidationError("trials must be at least 1")
         updates["trials"] = trials
-    if threads is not None:
-        if threads < 0:
-            raise ValidationError("threads must be non-negative (0 or 1 = serial)")
-        updates["threads"] = threads
     if out is not None:
         updates["out"] = out
     return replace(config, **updates) if updates else config

@@ -310,12 +310,11 @@ def count_pauli_preserving(u: np.ndarray, tol: float = ATOL) -> int:
     )
 
 
-def random_clifford(n: int, rng, moves: int | None = None) -> np.ndarray:
-    """Random Clifford as a random circuit over H, S, CNOT."""
+def random_clifford(n: int, rng) -> np.ndarray:
+    """Random Clifford as a random circuit of 20 n^2 + 10 H, S and CNOT gates."""
     if n < 1:
         raise ValidationError("need at least one qubit")
-    if moves is None:
-        moves = 20 * n * n + 10
+    moves = 20 * n * n + 10
     gen = rng.generator
     u = np.eye(2**n, dtype=np.complex128)
     for _ in range(moves):

@@ -53,15 +53,13 @@ Python runs on the honest path.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 
-from .errors import BankError, ValidationError
+from .errors import ValidationError
 from .gates import H, I2, X, Y, Z
 from .layout import CircuitLayout
 from .pauli import PauliOperator, random_clifford
@@ -498,42 +496,6 @@ def verify_ip(
     return Verdict(accepted, errors, losses, answers_equal)
 
 
-class StateBank:
-    """Registry of pre-distributed challenge states, redeemable exactly once.
-
-    Redeeming a token hands its challenge over and drops it from the bank,
-    so a run that issues and redeems in each trial holds no challenges.
-    """
-
-    def __init__(self):
-        self._records: dict[str, Challenge] = {}
-        # next() on a count is atomic, so pooled issues never share a token
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
-def bank_issue(
-    spec: IPGameSpec,
-    bank: StateBank,
-    rng: RngStream,
-    closed: tuple[np.ndarray, ...] | None = None,
-) -> str:
-    """Deposit `gen_ip_challenge(spec, rng, closed)` and return its token."""
-    challenge = gen_ip_challenge(spec, rng, closed)
-    token = f"sb-{next(bank._counter):06d}"
-    bank._records[token] = challenge
-    return token
-
-
-def bank_redeem(bank: StateBank, token: str) -> Challenge:
-    challenge = bank._records.pop(token, None)
-    if challenge is None:
-        raise BankError(f"state id {token!r} is unknown or was already redeemed")
-    return challenge
-
-
 class HonestProver:
     """Reference prover: applies the inverse rotation and reports the truth."""
 
@@ -553,8 +515,7 @@ class HonestProver:
 class GameStats:
     """Aggregate of a Monte Carlo run, computed once from its trial rows
     (index, accepted, error_count, loss_count, epr_consumed); all means are
-    exact-integer totals divided by the trial count, so they are independent
-    of thread count."""
+    exact-integer totals divided by the trial count."""
 
     trials: int
     wins: int
@@ -569,15 +530,9 @@ class GameStats:
 
 
 def run_game(
-    spec,
-    actor,
-    channel: ChannelModel,
-    trials: int,
-    rng: RngStream,
-    bank: StateBank | None = None,
-    threads: int = 1,
+    spec, actor, channel: ChannelModel | None, trials: int, rng: RngStream
 ) -> GameStats:
-    """Run `trials` independent rounds and aggregate.
+    """Run `trials` independent rounds, one after another, and aggregate.
 
     Trial i owns the stream rng.substream(1 + i): its challenge draws first,
     then the channel and the actor continue on the same stream object.
@@ -587,71 +542,52 @@ def run_game(
     verification in index order. No two trials share a stream, so making
     the challenges of trials i..i+B-1 first leaves every stream's draws in
     their order: results depend only on (seed, trial index), never on the
-    block size or on the thread count. A pool of threads maps over blocks.
-    A finished trial leaves only its row and its reserved EPR count, so
-    memory holds no trial's challenge, state or answers past its block.
-    With a bank, the payload is redeemed out-of-band and the channel only
-    would have applied to the (absent) transmission, so it is skipped.
+    block size. A finished trial leaves only its row and its reserved EPR
+    count, so memory holds no trial's challenge, state or answers past its
+    block. With channel None the payload is delivered as sent and nothing
+    is drawn for a channel.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
-    if threads < 1:
-        raise ValidationError("threads must be at least 1")
     is_basis = isinstance(spec, BasisGameSpec)
-    if bank is not None and is_basis:
-        raise ValidationError("the state bank only serves the IP game")
     size = max(1, BLOCK_QUBITS // spec.n)
-    # one set.add per trial, atomic under the interpreter lock; returning the
-    # count beside the row would hold a pair per trial until the end
     reserved: set[int] = set()
-
-    def play(
-        i: int, rng_i: RngStream, challenge: Challenge
-    ) -> tuple[int, bool, int, int, int]:
-        if bank is None:
-            state, lost = apply_channel(challenge.quantum_payload, channel, rng_i)
-            delivered = DeliveredPayload(state, lost)
-        else:
-            delivered = DeliveredPayload.pristine(
-                challenge.quantum_payload, challenge.n
-            )
-        outcome = actor.run_trial(challenge, delivered, rng_i)
-        if is_basis:
-            verdict = verify_basis(
-                challenge.secret.x, outcome.y_alice, outcome.y_bob, spec.eta
-            )
-        else:
-            verdict = verify_ip(
-                challenge.secret.x,
-                outcome.y_alice,
-                outcome.y_bob,
-                spec.eta_err,
-                spec.eta_loss,
-            )
-        reserved.add(outcome.epr_reserved)
-        counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
-        return (i, verdict.accepted, *counts)
-
-    def run_block(start: int) -> list[tuple[int, bool, int, int, int]]:
+    rows = []
+    for start in range(0, trials, size):
         rngs = [rng.substream(1 + i) for i in range(start, min(start + size, trials))]
         if is_basis:
             challenges = [gen_basis_challenge(spec, r) for r in rngs]
         else:
             challenges = [
                 gen_ip_challenge(spec, r, row)
-                if bank is None
-                else bank_redeem(bank, bank_issue(spec, bank, r, row))
                 for r, row in zip(rngs, gen_ip_block(spec, rngs))
             ]
-        return list(map(play, itertools.count(start), rngs, challenges))
-
-    starts = range(0, trials, size)
-    if threads == 1:
-        rows = tuple(itertools.chain.from_iterable(map(run_block, starts)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = pool.map(run_block, starts)
-            rows = tuple(itertools.chain.from_iterable(blocks))
+        for i, rng_i, challenge in zip(range(start, trials), rngs, challenges):
+            payload = challenge.quantum_payload
+            if channel is None:
+                delivered = DeliveredPayload.pristine(payload, challenge.n)
+            else:
+                delivered = DeliveredPayload(*apply_channel(payload, channel, rng_i))
+            outcome = actor.run_trial(challenge, delivered, rng_i)
+            if is_basis:
+                verdict = verify_basis(
+                    challenge.secret.x, outcome.y_alice, outcome.y_bob, spec.eta
+                )
+            else:
+                verdict = verify_ip(
+                    challenge.secret.x,
+                    outcome.y_alice,
+                    outcome.y_bob,
+                    spec.eta_err,
+                    spec.eta_loss,
+                )
+            reserved.add(outcome.epr_reserved)
+            counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
+            rows.append((i, verdict.accepted, *counts))
+            # the delivered state and the answers die with their trial, and
+            # the challenges with their block
+            del delivered, outcome
+        del challenges, challenge, payload
     if len(reserved) != 1:
         raise ValidationError("strategy reported inconsistent reserved EPR counts")
     wins = sum(row[1] for row in rows)
@@ -667,5 +603,5 @@ def run_game(
         mean_epr_consumed=sum(row[4] for row in rows) / trials,
         reserved_epr=reserved.pop(),
         error_histogram=dict(Counter(row[2] for row in rows)),
-        trial_rows=rows,
+        trial_rows=tuple(rows),
     )

@@ -3,12 +3,16 @@
 Built on numpy's counter-based Philox generator so that distinct stream ids
 yield statistically independent sequences and an identical (seed, stream)
 pair reproduces the exact same draws. Monte Carlo code derives one stream
-per trial, which makes results independent of worker count and scheduling.
+per trial, which makes each trial's draws independent of the trials around
+it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# the largest seed a stream tells apart; larger ones would wrap onto it
+MAX_SEED = 2**64 - 1
 
 
 class RngStream:

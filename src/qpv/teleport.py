@@ -236,22 +236,21 @@ def pbt_teleport_density(
     return _pbt_hop(rho.mat, channel, rng)
 
 
-def pbt_fidelity_curve(port_counts, trials: int, rng: RngStream) -> list[tuple[int, float, float]]:
-    """Mean teleportation fidelity over Haar inputs for each port count.
+def pbt_fidelity_curve(
+    num_ports: int, trials: int, rng: RngStream
+) -> tuple[float, float]:
+    """Mean teleportation fidelity over Haar inputs, and its standard error.
 
     Completion outcomes contribute their actual (maximally mixed) fidelity
-    of one half, so the curve reflects the full channel, not just successes.
+    of one half, so the mean reflects the full channel, not just successes.
+    Trial t draws its input from stream 1 + 2t and its hop from 2 + 2t.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
-    out = []
-    for i, num_ports in enumerate(port_counts):
-        channel = build_pbt_channel(num_ports)
-        fids = np.empty(trials)
-        for t in range(trials):
-            sub = rng.substream(1 + i * (2 * trials) + 2 * t)
-            psi = haar_random_state(1, sub)
-            res = pbt_teleport(psi, channel, rng.substream(2 + i * (2 * trials) + 2 * t))
-            fids[t] = fidelity(psi, res.receiver)
-        out.append((num_ports, float(fids.mean()), float(fids.std(ddof=1) / np.sqrt(trials))))
-    return out
+    channel = build_pbt_channel(num_ports)
+    fids = np.empty(trials)
+    for t in range(trials):
+        psi = haar_random_state(1, rng.substream(1 + 2 * t))
+        res = pbt_teleport(psi, channel, rng.substream(2 + 2 * t))
+        fids[t] = fidelity(psi, res.receiver)
+    return float(fids.mean()), float(fids.std(ddof=1) / np.sqrt(trials))

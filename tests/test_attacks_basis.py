@@ -6,7 +6,6 @@ shortcut.
 """
 
 import hashlib
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -52,8 +51,8 @@ CLEAN = ChannelModel()
 CHAIN5 = Path(__file__).parent.parent / "perfbench" / "layouts" / "chain5.json"
 
 
-def play(spec, attack, trials, seed=11, threads=1):
-    return run_game(spec, attack, CLEAN, trials, RngStream(seed, 0), threads=threads)
+def play(spec, attack, trials, seed=11):
+    return run_game(spec, attack, CLEAN, trials, RngStream(seed, 0))
 
 
 class FullTreeAttack(TreeAttack):
@@ -434,20 +433,3 @@ def test_chain_keeps_its_premeasure_float_bits():
     )
 
 
-def test_pooled_trials_share_one_layout_product():
-    # every trial of a fresh layout races to build its cached product first
-    def play_fresh(threads):
-        layout = load_layout(CHAIN5)
-        spec = BasisGameSpec(2, "layout", layout=layout)
-        return run_game(
-            spec, LayoutAttack(layout), ChannelModel(p_loss=0.3), 40,
-            RngStream(7, 0), threads=threads,
-        )
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pooled = play_fresh(4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert pooled == play_fresh(1)

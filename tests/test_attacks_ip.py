@@ -108,7 +108,7 @@ def test_sk_attack_calibrates_once_before_pooled_trials(monkeypatch):
     attack = SkAttack(1, l0=11)
     assert len(calls) == 1
     spec = IPGameSpec(2, 1, eta_err=0.5)
-    stats = run_game(spec, attack, CLEAN, 4, RngStream(3, 0), threads=2)
+    stats = run_game(spec, attack, CLEAN, 4, RngStream(3, 0))
     assert stats.trials == 4
     assert len(calls) == 1
 
@@ -142,13 +142,6 @@ def test_lossy_confidence_scales_error_mass():
         assert abs(stats.mean_error_count / n - expected) < 0.02
         # declares one empty fewer than the strict clause allows
         assert stats.mean_loss_count == float(math.ceil(eta_loss * n) - 1)
-
-
-def test_lossy_confidence_explicit_eta_override():
-    with pytest.raises(ValidationError):
-        LossyConfidenceAttack(eta_loss=1.5)
-    stats = play(IPGameSpec(1000, 1, eta_loss=0.5), LossyConfidenceAttack(0.2), 1)
-    assert stats.mean_loss_count == float(math.ceil(0.2 * 1000) - 1)
 
 
 def test_lossy_confidence_uses_channel_losses_first():

@@ -1,10 +1,12 @@
 """Exit codes and the single `error=<Class>:` stderr line of the command line."""
 
+import hashlib
 import json
 
 import pytest
 
 from qpv.cli import main
+from qpv.experiment import canonical_json, strip_wall_clock
 
 TINY_RUN = """\
 game = ip
@@ -88,7 +90,7 @@ def test_run_rejects_a_directory_as_out_with_one_error_line(tmp_path, capsys):
     [
         ("--trials", "0", "trials must be at least 1"),
         ("--seed", "-1", "seed must be non-negative"),
-        ("--threads", "-1", "threads must be non-negative"),
+        ("--seed", "18446744073709551616", "seed must be at most"),
     ],
 )
 def test_run_rejects_a_bad_override_with_one_error_line(
@@ -153,11 +155,21 @@ def test_pbt_bench_mean_agrees_with_the_exact_fidelity(ports, capsys):
     assert abs(fid["mean"] - record["fidelity_exact"]) < 4 * fid["stderr"]
 
 
+def test_pbt_bench_record_matches_its_frozen_digest(capsys):
+    # a change to any input or hop draw of the bench changes this record
+    assert main(["pbt-bench", "--ports", "8", "--trials", "50", "--seed", "3"]) == 0
+    record = strip_wall_clock(json.loads(capsys.readouterr().out))
+    assert hashlib.sha256(canonical_json(record).encode()).hexdigest() == (
+        "881e4f27a4e37fc780413871a35a71559e4f1cd1a07f99a90dba4e8c9d0ce9e0"
+    )
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--trials", "0", "trials must be at least 1"),
         ("--seed", "-1", "seed must be non-negative"),
+        ("--seed", "18446744073709551616", "seed must be at most"),
         ("--ports", "1", "port count must be at least 2"),
     ],
 )

@@ -75,6 +75,7 @@ MINI = "game = basis\nn = 4\nactor = honest\n"
         ("eta = maybe", "expected a number"),
         ("bank = perhaps", "expected true or false"),
         ("threads = -2", "threads must be at least"),
+        ("seed = 18446744073709551616", "line 4: seed must be at most"),
         ("eta = 1.5", "must lie in"),
         ("t = 2", "applies to the ip game"),
         ("eta_err = 0.1", "applies to the ip game"),
@@ -334,6 +335,24 @@ def _ip(actor, n, t, eta_err, eta_loss, p_loss, trials, **keys):
             "cef785b1261a48b75e994940137aad902118cf246b572621094b87a9c19cefcb",
             id="pbt-4-4-4-per-qubit-53",
         ),
+        pytest.param(
+            # bank mode: the payload arrives as sent and no channel is drawn
+            _config(
+                game="ip", n=9, actor="pbt:4,4,4", t=2, eta_err=0.5, p_loss=0.2,
+                p_dep=0.2, bank="true", trials=40, seed=5,
+            ),
+            "55b39f70cf9b13752a45778ecf0a20b6ecac3063529ccd3ef51e934edbe99c1b",
+            id="pbt-4-4-4-bank",
+        ),
+        pytest.param(
+            # the threads key is echoed but changes no draw
+            _config(
+                game="ip", n=16, actor="honest", t=2, eta_err=0.1, eta_loss=0.1,
+                p_loss=0.1, p_dep=0.1, trials=40, seed=5, threads=3,
+            ),
+            "8b2c5fec193badefd4e5163af288cbec0caf7b64f072f1736a1acab4e91a57f1",
+            id="honest-ip-threads-3",
+        ),
     ],
 )
 def test_records_match_their_frozen_digests(text, digest):
@@ -461,11 +480,9 @@ def test_emit_plot_data_edge_cases():
 
 def test_apply_overrides():
     config = parse_config(BASIS_TEXT)
-    bumped = apply_overrides(config, seed=9, trials=5, threads=2, out="r.json")
-    assert (bumped.seed, bumped.trials, bumped.threads, bumped.out) == (
-        9, 5, 2, "r.json"
-    )
-    untouched = apply_overrides(config, None, None, None, None)
+    bumped = apply_overrides(config, seed=9, trials=5, out="r.json")
+    assert (bumped.seed, bumped.trials, bumped.out) == (9, 5, "r.json")
+    untouched = apply_overrides(config, None, None, None)
     assert untouched == config
     with pytest.raises(ValidationError):
-        apply_overrides(config, None, 0, None, None)
+        apply_overrides(config, None, 0, None)

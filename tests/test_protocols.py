@@ -1,6 +1,7 @@
 """Game specs, challenge generation, channels, verification, and run_game."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from qpv import gates, protocols
 from qpv.attacks import strategy_from_name
-from qpv.errors import BankError, ValidationError
+from qpv.errors import ValidationError
 from qpv.layout import single_gate_layout
 from qpv.pauli import try_as_pauli
 from qpv.protocols import (
@@ -18,11 +19,8 @@ from qpv.protocols import (
     DeliveredPayload,
     HonestProver,
     IPGameSpec,
-    StateBank,
     TrialOutcome,
     apply_channel,
-    bank_issue,
-    bank_redeem,
     gen_basis_challenge,
     gen_ip_block,
     gen_ip_challenge,
@@ -228,14 +226,14 @@ def test_blocked_challenges_equal_per_trial_ones(n, t, per_qubit):
         assert streams[i].random() == alone.random() == one.random()
 
 
-def _per_trial_rows(spec, actor, channel, trials, rng, bank):
+def _per_trial_rows(spec, actor, channel, trials, rng):
     """run_game's rows from one trial at a time, each challenge made alone."""
     rows = []
     for i in range(trials):
         rng_i = rng.substream(1 + i)
         x, target, u, v, columns = _per_trial_challenge(spec, rng_i)
         challenge = gen_ip_challenge(spec, None, (x, target, u, v, columns))
-        if bank:
+        if channel is None:
             delivered = DeliveredPayload.pristine(challenge.quantum_payload, spec.n)
         else:
             delivered = DeliveredPayload(
@@ -250,7 +248,7 @@ def _per_trial_rows(spec, actor, channel, trials, rng, bank):
     return tuple(rows)
 
 
-@pytest.mark.parametrize("mode", ["serial", "threads", "bank"])
+@pytest.mark.parametrize("mode", ["serial", "bank"])
 @pytest.mark.parametrize(
     "blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
     ids=["1", "B-1", "B", "B+1", "2B+1"],
@@ -258,15 +256,11 @@ def _per_trial_rows(spec, actor, channel, trials, rng, bank):
 def test_run_game_rows_match_per_trial_play_across_blocks(blocks, extra, mode):
     spec = IPGameSpec(4, 2, eta_err=0.5, eta_loss=0.5)
     trials = blocks * (BLOCK_QUBITS // spec.n) + extra
-    channel = ChannelModel(p_loss=0.1, p_dep=0.1)
+    # bank mode delivers the payload through no channel
+    channel = None if mode == "bank" else ChannelModel(p_loss=0.1, p_dep=0.1)
     actor = strategy_from_name("pbt:4,4,4")
-    banked = mode == "bank"
-    stats = run_game(
-        spec, actor, channel, trials, RngStream(73, 0),
-        bank=StateBank() if banked else None,
-        threads=2 if mode == "threads" else 1,
-    )
-    want = _per_trial_rows(spec, actor, channel, trials, RngStream(73, 0), banked)
+    stats = run_game(spec, actor, channel, trials, RngStream(73, 0))
+    want = _per_trial_rows(spec, actor, channel, trials, RngStream(73, 0))
     assert stats.trial_rows == want
 
 
@@ -401,58 +395,30 @@ def test_honest_prover_guesses_lost_basis_qubits(rng):
     assert 0.2 < stats.mean_error_count / 2 < 0.8
 
 
-def test_bank_tokens_redeem_once(rng):
-    bank = StateBank()
-    token = bank_issue(IPGameSpec(2, 1), bank, rng)
-    assert len(bank) == 1
-    challenge = bank_redeem(bank, token)
-    assert challenge.game == "ip"
-    with pytest.raises(BankError):
-        bank_redeem(bank, token)
-    with pytest.raises(BankError):
-        bank_redeem(bank, "sb-999999")
-
-
-def test_bank_frees_redeemed_challenges(rng):
-    bank = StateBank()
-    run_game(IPGameSpec(2, 1), HonestProver(), ChannelModel(), 50, rng, bank=bank)
-    assert len(bank) == 0
-    token = bank_issue(IPGameSpec(2, 1), bank, rng)
-    assert token == "sb-000050"
-    bank_redeem(bank, token)
-    assert len(bank) == 0
-    with pytest.raises(BankError):
-        bank_redeem(bank, token)
-
-
 def test_bank_mode_skips_the_channel(rng):
     spec = IPGameSpec(2, 1)
-    lossy = ChannelModel(p_loss=1.0)
-    banked = run_game(
-        spec, HonestProver(), lossy, 50, rng, bank=StateBank()
-    )
+    banked = run_game(spec, HonestProver(), None, 50, rng)
     assert banked.win_rate == 1.0
-    shipped = run_game(spec, HonestProver(), lossy, 50, rng)
+    shipped = run_game(spec, HonestProver(), ChannelModel(p_loss=1.0), 50, rng)
     assert shipped.win_rate == 0.0
-    with pytest.raises(ValidationError):
-        run_game(BasisGameSpec(2, "haar"), HonestProver(), lossy, 5, rng, bank=StateBank())
 
 
 def test_run_game_deterministic_and_thread_independent():
     spec = BasisGameSpec(3, "haar", eta=0.4)
     channel = ChannelModel(p_loss=0.1, p_dep=0.1)
 
-    def play(threads):
-        return run_game(
-            spec, HonestProver(), channel, 60,
-            RngStream(77, 0), threads=threads,
-        )
+    def play():
+        return run_game(spec, HonestProver(), channel, 60, RngStream(77, 0))
 
-    base = play(1)
-    again = play(1)
-    pooled = play(3)
-    assert base == again
-    assert base == pooled
+    base = play()
+    assert base == play()
+    # no draw depends on the thread that runs the game
+    other = []
+    worker = threading.Thread(target=lambda: other.append(play()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert other == [base]
     assert len(base.trial_rows) == 60
     assert base.trial_rows[0][0] == 0
 
@@ -503,8 +469,6 @@ def test_run_game_argument_validation(rng):
     spec = BasisGameSpec(2, "haar")
     with pytest.raises(ValidationError):
         run_game(spec, HonestProver(), ChannelModel(), 0, rng)
-    with pytest.raises(ValidationError):
-        run_game(spec, HonestProver(), ChannelModel(), 5, rng, threads=0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

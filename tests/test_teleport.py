@@ -202,7 +202,7 @@ PBT_FIDELITY_TABLE = {2: 0.7445, 4: 0.8581, 6: 0.9108, 8: 0.9363}
 
 @pytest.mark.parametrize("ports", sorted(PBT_FIDELITY_TABLE))
 def test_pbt_fidelity_matches_frozen_table(ports):
-    ((_, mean, stderr),) = pbt_fidelity_curve([ports], 400, RngStream(77, 0))
+    mean, stderr = pbt_fidelity_curve(ports, 400, RngStream(77, 0))
     assert abs(mean - PBT_FIDELITY_TABLE[ports]) < 0.02
     assert mean - 3 * stderr > 1 - 4 / ports
 
