@@ -4,8 +4,8 @@ Entangled strategies (Pauli, Clifford, tree, layout, PBT, SK) trade
 pre-shared EPR pairs for the ability to answer within a single classical
 exchange; the non-entangled family (random-basis, lossy-confidence,
 Breidbart, random-guess) plays the same interface with an empty ledger.
-Every strategy sends all its decoder reads in the one exchange, so both
-parties hold the same two messages and `answer` decodes their one string.
+In the one exchange each party sends its whole record, so both parties hold
+the same two records and `answer(trial)` decodes their one string from them.
 `strategy_from_name` maps the stable CLI identifiers onto constructors.
 """
 

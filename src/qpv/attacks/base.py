@@ -10,12 +10,13 @@ exchange, after which each produces an answer string.
 Because every measurement Alice performs acts on her registers and every
 measurement Bob performs acts on his, the two parties' operations commute.
 The shared quantum phase is therefore simulated once, in causal order, when
-a trial state is built; each party's outcomes land in its private record,
-and each round-1 message is formed from its sender's record alone. The
-answer is a function of the two messages, the public challenge and the
-pre-agreed randomness, which is the whole one-round constraint: after the
-exchange both parties hold exactly these, so they give the same string and
-it is decoded once.
+a trial state is built, and each party's outcomes land in its record. One
+round bounds the number of exchanges, not their size, so a party loses
+nothing by sending all it holds: its record is its message. The answer is a
+function of the two records, the public challenge and the pre-agreed
+randomness, which is the whole one-round constraint: after the exchange both
+parties hold exactly these, so they give the same string and it is decoded
+once.
 
 The chain engine below drives the teleportation attacks. A live engine
 tracks the outer operator O and the ideal inverse W that the strips
@@ -79,9 +80,10 @@ class EntanglementLedger:
 
 @dataclass
 class TrialState:
-    """Per-trial state: the public challenge, the pre-agreed randomness and
-    the ledger, and each party's private record, which only that party's
-    round-1 message reads."""
+    """Per-trial state: the public challenge, the pre-agreed randomness, the
+    ledger, and each party's record, which is the message it sends.
+    `premeasure`, a chain's register just before measurement, is held by no
+    party, so only validation reads it, never `answer`."""
 
     challenge: Challenge
     delivered: DeliveredPayload
@@ -89,12 +91,13 @@ class TrialState:
     ledger: EntanglementLedger
     alice: dict = field(default_factory=dict)
     bob: dict = field(default_factory=dict)
+    premeasure: StateVector | None = None
 
 
 class CoalitionStrategy(ABC):
     """Two cheating agents behind a single simultaneous classical exchange.
 
-    Both agents answer from the same two messages, so a strategy writes the
+    Both agents answer from the same two records, so a strategy writes the
     decoder once, as `answer`, and `run_trial` reports its string for both.
     """
 
@@ -111,17 +114,10 @@ class CoalitionStrategy(ABC):
         """Run the shared quantum phase and return the populated trial state."""
 
     @abstractmethod
-    def round1_alice(self, trial: TrialState) -> dict:
-        """Alice's single classical message to Bob, from her record only."""
-
-    @abstractmethod
-    def round1_bob(self, trial: TrialState) -> dict:
-        """Bob's single classical message to Alice, from his record only."""
-
-    @abstractmethod
-    def answer(self, trial: TrialState, to_bob: dict, to_alice: dict) -> str:
-        """Both parties' answer from the two round-1 messages, the challenge
-        and the pre-agreed randomness (`trial.rng`); never from a record."""
+    def answer(self, trial: TrialState) -> str:
+        """Both parties' answer from the two records, the public challenge
+        and the pre-agreed randomness (`trial.rng`); never from `delivered`
+        or `premeasure`."""
 
     def base_trial(
         self, challenge: Challenge, delivered: DeliveredPayload, rng: RngStream
@@ -137,7 +133,7 @@ class CoalitionStrategy(ABC):
         self, challenge: Challenge, delivered: DeliveredPayload, rng: RngStream
     ) -> TrialOutcome:
         trial = self.new_trial(challenge, delivered, rng)
-        y = self.answer(trial, self.round1_alice(trial), self.round1_bob(trial))
+        y = self.answer(trial)
         ledger = trial.ledger
         if ledger.consumed > ledger.reserved:
             raise BoundCheckError("ledger invariant violated")

@@ -13,7 +13,7 @@ realized branch, and fills the unselected slots of Bob's measurement record
 with uniform bits, which is exactly what measuring halves of untouched Bell
 pairs yields.
 
-Every strategy's `answer` decodes the two exchanged messages to a uint8
+Every strategy's `answer` decodes the two exchanged records to a uint8
 bit array. The basis game has no empty symbol, so lost positions take
 pre-agreed random bits (`with_fallback`), and `protocols.render_answer`
 spells the answer string.
@@ -84,15 +84,9 @@ class PauliAttack(CoalitionStrategy):
         trial.bob["pauli"] = pauli
         return trial
 
-    def round1_alice(self, trial) -> dict:
-        return {"bits": trial.alice["bits"], "lost": trial.alice["lost"]}
-
-    def round1_bob(self, trial) -> dict:
-        return {"pauli": trial.bob["pauli"]}
-
-    def answer(self, trial, to_bob, to_alice) -> str:
-        bits = np.bitwise_xor(to_bob["bits"], to_alice["pauli"].x_bits)
-        return render_answer(with_fallback(trial, bits, to_bob["lost"]))
+    def answer(self, trial) -> str:
+        bits = np.bitwise_xor(trial.alice["bits"], trial.bob["pauli"].x_bits)
+        return render_answer(with_fallback(trial, bits, trial.alice["lost"]))
 
 
 class ChainAttack(CoalitionStrategy):
@@ -119,29 +113,22 @@ class ChainAttack(CoalitionStrategy):
         trial.alice["sigmas"] = engine.transcript.alice
         trial.bob["sigmas"] = engine.transcript.bob
         trial.bob["bits"] = engine.measure()
-        # kept for cross-engine state validation; the protocol never reads it
-        trial.bob["premeasure"] = engine.state
+        trial.premeasure = engine.state
         return trial
 
-    def round1_alice(self, trial) -> dict:
-        return {"sigmas": trial.alice["sigmas"], "lost": trial.alice["lost"]}
-
-    def round1_bob(self, trial) -> dict:
-        return {"sigmas": trial.bob["sigmas"], "bits": trial.bob["bits"]}
-
-    def _measured(self, to_bob, to_alice) -> tuple:
+    def _measured(self, trial) -> tuple:
         """Bob's outcome on the realized path."""
-        return to_alice["bits"]
+        return trial.bob["bits"]
 
-    def answer(self, trial, to_bob, to_alice) -> str:
+    def answer(self, trial) -> str:
         bits = decode_chain_answer(
             self._gates(trial.challenge),
             trial.challenge.n,
-            to_bob["sigmas"],
-            to_alice["sigmas"],
-            self._measured(to_bob, to_alice),
+            trial.alice["sigmas"],
+            trial.bob["sigmas"],
+            self._measured(trial),
         )
-        return render_answer(with_fallback(trial, bits, to_bob["lost"]))
+        return render_answer(with_fallback(trial, bits, trial.alice["lost"]))
 
 
 class CliffordAttack(ChainAttack):
@@ -224,23 +211,22 @@ class TreeAttack(ChainAttack):
     def _attach_slot_record(self, trial, rng: RngStream):
         """Bob's measurement record covers every final-bank address; the
         unselected slots hold halves of untouched Bell pairs, so their
-        outcomes are uniform bits."""
+        outcomes are uniform bits. Bob cannot tell which slot was realized,
+        so the realized bits leave his record for their slot."""
         n = trial.challenge.n
         realized = self._address(trial.alice["sigmas"])
+        bits = trial.bob.pop("bits")
         slots = {}
         for address in self._all_addresses():
             if address == realized:
-                slots[address] = trial.bob["bits"]
+                slots[address] = bits
             else:
                 slots[address] = tuple(int(b) for b in rng.bits(n))
         trial.bob["slots"] = slots
 
-    def round1_bob(self, trial) -> dict:
-        return {"sigmas": trial.bob["sigmas"], "slots": trial.bob["slots"]}
-
-    def _measured(self, to_bob, to_alice) -> tuple:
+    def _measured(self, trial) -> tuple:
         """The slot that Alice's corrections address."""
-        return to_alice["slots"][self._address(to_bob["sigmas"])]
+        return trial.bob["slots"][self._address(trial.alice["sigmas"])]
 
 
 class LayoutAttack(ChainAttack):
@@ -316,14 +302,9 @@ class BreidbartAttack(CoalitionStrategy):
         trial.alice["lost"] = delivered.lost
         return trial
 
-    def round1_alice(self, trial) -> dict:
-        return {"bits": trial.alice["bits"], "lost": trial.alice["lost"]}
-
-    def round1_bob(self, trial) -> dict:
-        return {}
-
-    def answer(self, trial, to_bob, to_alice) -> str:
-        return render_answer(with_fallback(trial, to_bob["bits"], to_bob["lost"]))
+    def answer(self, trial) -> str:
+        bits, lost = trial.alice["bits"], trial.alice["lost"]
+        return render_answer(with_fallback(trial, bits, lost))
 
 
 class RandomGuessAttack(CoalitionStrategy):
@@ -337,11 +318,5 @@ class RandomGuessAttack(CoalitionStrategy):
     def new_trial(self, challenge, delivered, rng) -> TrialState:
         return self.base_trial(challenge, delivered, rng)
 
-    def round1_alice(self, trial) -> dict:
-        return {}
-
-    def round1_bob(self, trial) -> dict:
-        return {}
-
-    def answer(self, trial, to_bob, to_alice) -> str:
+    def answer(self, trial) -> str:
         return render_answer(trial.rng.bits(trial.challenge.n))

@@ -21,7 +21,7 @@ pre-agreed subset, scaling the residual error mass by the answered
 fraction so the winning boundary sits exactly at eta_err + eta_loss/4
 = 1/4.
 
-Every strategy's `answer` decodes the two exchanged messages to a uint8
+Every strategy's `answer` decodes the two exchanged records to a uint8
 bit array plus a bool mask of the positions it declares empty, and
 `protocols.render_answer` spells the answer string; positions with no
 usable bit (a failed hop, a loss beyond the declared budget) take
@@ -151,14 +151,8 @@ class PbtAttack(CoalitionStrategy):
             visibility *= channel.depolarizing
         return visibility * float(abs(psi[1]) ** 2) + (1.0 - visibility) / 2.0
 
-    def round1_alice(self, trial) -> dict:
-        return {"lost": trial.alice["lost"]}
-
-    def round1_bob(self, trial) -> dict:
-        return {"bits": trial.bob["bits"]}
-
-    def answer(self, trial, to_bob, to_alice) -> str:
-        bits, lost = to_alice["bits"], to_bob["lost"]
+    def answer(self, trial) -> str:
+        bits, lost = trial.bob["bits"], trial.alice["lost"]
         failed = (bits == _HOP_FAILED) & ~lost
         return render_answer(with_fallback(trial, bits, failed), lost)
 
@@ -343,27 +337,14 @@ class SkAttack(CoalitionStrategy):
         trial.bob["bits"] = bits
         return trial
 
-    def round1_alice(self, trial) -> dict:
-        return {
-            "sigmas": trial.alice["sigmas"],
-            "u_letters": trial.alice["u_letters"],
-            "lost": trial.alice["lost"],
-        }
-
-    def round1_bob(self, trial) -> dict:
-        return {
-            "sigmas": trial.bob["sigmas"],
-            "v_letters": trial.bob["v_letters"],
-            "bits": trial.bob["bits"],
-        }
-
-    def answer(self, trial, to_bob, to_alice) -> str:
-        u_letters, v_letters = to_bob["u_letters"], to_alice["v_letters"]
-        lost = to_bob["lost"]
-        bits = to_alice["bits"].copy()
+    def answer(self, trial) -> str:
+        alice, bob = trial.alice, trial.bob
+        u_letters, v_letters = alice["u_letters"], bob["v_letters"]
+        lost = alice["lost"]
+        bits = bob["bits"].copy()
         for q in np.flatnonzero(~lost):
             c = q if len(u_letters) > 1 else 0
-            chain = _TableChain(alice=to_bob["sigmas"][q], bob=to_alice["sigmas"][q])
+            chain = _TableChain(alice=alice["sigmas"][q], bob=bob["sigmas"][q])
             _run_words(chain, u_letters[c], v_letters[c])
             bits[q] ^= chain.residue_x()
         return render_answer(bits, lost)
@@ -422,23 +403,13 @@ class RandomBasisAttack(CoalitionStrategy):
         trial.bob["v_share"] = challenge.v1_classical
         return trial
 
-    def round1_alice(self, trial) -> dict:
-        return {
-            "bases": trial.alice["bases"],
-            "outcomes": trial.alice["outcomes"],
-            "lost": trial.alice["lost"],
-            "u_share": trial.alice["u_share"],
-        }
-
-    def round1_bob(self, trial) -> dict:
-        return {"v_share": trial.bob["v_share"]}
-
-    def answer(self, trial, to_bob, to_alice) -> str:
+    def answer(self, trial) -> str:
+        alice = trial.alice
         guess = _guess_bits(
-            to_bob["bases"], to_bob["outcomes"], to_bob["u_share"],
-            to_alice["v_share"], trial.challenge.n,
+            alice["bases"], alice["outcomes"], alice["u_share"],
+            trial.bob["v_share"], trial.challenge.n,
         )
-        return self._render(trial, guess, to_bob["lost"])
+        return self._render(trial, guess, alice["lost"])
 
     def _render(self, trial, guess, lost) -> str:
         return render_answer(guess, lost)

@@ -35,6 +35,7 @@ from .experiment import (
     ARTIFACT_VERSION,
     apply_overrides,
     canonical_json,
+    check_seed_and_trials,
     compare_bounds,
     emit_plot_data,
     format_value,
@@ -44,7 +45,7 @@ from .experiment import (
 )
 from .gates import GATES
 from .layout import load_layout
-from .rng import MAX_SEED, RngStream
+from .rng import RngStream
 from .sk import build_net, sk_decompose, su2_distance, to_su2
 from .teleport import build_pbt_channel, pbt_fidelity_curve
 
@@ -302,12 +303,7 @@ def _cmd_sk_compile(args) -> int:
 
 
 def _cmd_pbt_bench(args) -> int:
-    if args.trials < 1:
-        raise ValidationError("trials must be at least 1")
-    if args.seed < 0:
-        raise ValidationError("seed must be non-negative")
-    if args.seed > MAX_SEED:
-        raise ValidationError(f"seed must be at most {MAX_SEED}")
+    check_seed_and_trials(args.seed, args.trials)
     rng = RngStream(args.seed, stream=0)
     start = time.perf_counter()
     mean, stderr = pbt_fidelity_curve(args.ports, args.trials, rng)

@@ -419,6 +419,18 @@ def emit_plot_data(records: list[dict], axes: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_seed_and_trials(seed: Optional[int], trials: Optional[int]):
+    """Reject a command-line seed outside [0, MAX_SEED] or a trial count
+    below 1; None skips that check."""
+    if seed is not None:
+        if seed < 0:
+            raise ValidationError("seed must be non-negative")
+        if seed > MAX_SEED:
+            raise ValidationError(f"seed must be at most {MAX_SEED}")
+    if trials is not None and trials < 1:
+        raise ValidationError("trials must be at least 1")
+
+
 def apply_overrides(
     config: ExperimentConfig,
     seed: Optional[int] = None,
@@ -426,16 +438,11 @@ def apply_overrides(
     out: Optional[str] = None,
 ) -> ExperimentConfig:
     """Command-line overrides; the record echoes the effective values."""
+    check_seed_and_trials(seed, trials)
     updates: dict = {}
     if seed is not None:
-        if seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if seed > MAX_SEED:
-            raise ValidationError(f"seed must be at most {MAX_SEED}")
         updates["seed"] = seed
     if trials is not None:
-        if trials < 1:
-            raise ValidationError("trials must be at least 1")
         updates["trials"] = trials
     if out is not None:
         updates["out"] = out

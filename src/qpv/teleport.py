@@ -253,4 +253,6 @@ def pbt_fidelity_curve(
         psi = haar_random_state(1, rng.substream(1 + 2 * t))
         res = pbt_teleport(psi, channel, rng.substream(2 + 2 * t))
         fids[t] = fidelity(psi, res.receiver)
+    if trials < 2:
+        return float(fids.mean()), 0.0
     return float(fids.mean()), float(fids.std(ddof=1) / np.sqrt(trials))

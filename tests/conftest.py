@@ -29,8 +29,10 @@ def rng():
 def answer_twice():
     """answer_twice(attack, spec, seed) runs one trial under 30% loss twice
     from one seed and returns both answers and the loss mask. The second
-    answer is decoded with both private records cleared, so it can read only
-    the two exchanged messages."""
+    answer is decoded with the delivered payload, the pre-measure register
+    and the challenge's secret and quantum payload all cleared, so it can
+    read only the two exchanged records, the public challenge and the
+    pre-agreed randomness."""
 
     def run(attack, spec, seed):
         gen = gen_basis_challenge if isinstance(spec, BasisGameSpec) else gen_ip_challenge
@@ -42,10 +44,14 @@ def answer_twice():
                 challenge.quantum_payload, ChannelModel(p_loss=0.3), rng
             )
             trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
-            to_bob, to_alice = attack.round1_alice(trial), attack.round1_bob(trial)
             if blind:
-                trial = dataclasses.replace(trial, alice={}, bob={})
-            answers.append(attack.answer(trial, to_bob, to_alice))
+                public = dataclasses.replace(
+                    challenge, secret=None, quantum_payload=None
+                )
+                trial = dataclasses.replace(
+                    trial, challenge=public, delivered=None, premeasure=None
+                )
+            answers.append(attack.answer(trial))
         return answers, lost
 
     return run

@@ -112,7 +112,7 @@ class FullTreeAttack(TreeAttack):
             reg = apply_unitary(reg, candidate.conj().T, [pos(6 + 2 * s)])
         # the realized slot is pure here (its Bell partner is consumed), so
         # its reduced matrix is the same object the lazy engine measures
-        trial.bob["premeasure"] = partial_trace(
+        trial.premeasure = partial_trace(
             np.outer(reg.amps, reg.amps.conj()), [pos(6 + 2 * realized)]
         )
         slots = {}
@@ -123,7 +123,6 @@ class FullTreeAttack(TreeAttack):
 
         trial.alice["sigmas"] = [sigma_a1, sigma_a2]
         trial.bob["sigmas"] = [sigma_b1]
-        trial.bob["bits"] = slots[addresses[realized]]
         trial.bob["slots"] = slots
         return trial
 
@@ -215,9 +214,9 @@ def test_tree_full_engine_matches_lazy_realized_path():
         for seed in range(6):
             tl = lazy.new_trial(challenge, delivered, RngStream(seed, 2))
             tf = full.new_trial(challenge, delivered, RngStream(seed, 2))
-            assert fidelity(tl.bob["premeasure"], tf.bob["premeasure"]) > 1 - 1e-9
-            yl = lazy.answer(tl, lazy.round1_alice(tl), lazy.round1_bob(tl))
-            yf = full.answer(tf, full.round1_alice(tf), full.round1_bob(tf))
+            assert fidelity(tl.premeasure, tf.premeasure) > 1 - 1e-9
+            yl = lazy.answer(tl)
+            yf = full.answer(tf)
             assert yl == yf
 
 
@@ -381,11 +380,10 @@ def chain_draws_digest(seed: int) -> str:
         challenge = gen_basis_challenge(spec, rng)
         state, lost = apply_channel(challenge.quantum_payload, CLEAN, rng)
         trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
-        to_bob, to_alice = attack.round1_alice(trial), attack.round1_bob(trial)
-        y = attack.answer(trial, to_bob, to_alice)
-        for sigma in to_bob["sigmas"] + to_alice["sigmas"]:
+        y = attack.answer(trial)
+        for sigma in trial.alice["sigmas"] + trial.bob["sigmas"]:
             digest.update(bytes(sigma.x_bits + sigma.z_bits))
-        digest.update(bytes(to_alice["bits"]))
+        digest.update(bytes(trial.bob["bits"]))
         digest.update(y.encode())
     return digest.hexdigest()
 
@@ -409,10 +407,9 @@ def premeasure_digest(spec, attack, seed: int, trials: int = 60) -> str:
         challenge = gen_basis_challenge(spec, rng)
         state, lost = apply_channel(challenge.quantum_payload, channel, rng)
         trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
-        to_bob, to_alice = attack.round1_alice(trial), attack.round1_bob(trial)
-        y = attack.answer(trial, to_bob, to_alice)
-        digest.update(trial.bob["premeasure"].amps.tobytes())
-        digest.update(bytes(trial.bob["bits"]))
+        y = attack.answer(trial)
+        digest.update(trial.premeasure.amps.tobytes())
+        digest.update(bytes(attack._measured(trial)))
         digest.update(y.encode())
     return digest.hexdigest()
 

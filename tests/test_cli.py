@@ -183,6 +183,19 @@ def test_pbt_bench_rejects_a_bad_argument_with_one_error_line(flag, value, messa
     assert message in lines[0]
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_pbt_bench_of_one_trial_reports_a_zero_stderr(capsys):
+    # one sample has no spread to estimate; the record stays strict JSON
+    assert main(["pbt-bench", "--ports", "4", "--trials", "1"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    record = json.loads(out, parse_constant=_reject_constant)
+    assert record["metrics"]["fidelity"]["stderr"] == 0.0
+
+
 def test_cost_prints_a_record_and_exits_zero(capsys):
     assert main(["cost", "pauli", "n=3"]) == 0
     out, err = capsys.readouterr()
