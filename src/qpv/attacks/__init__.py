@@ -11,21 +11,9 @@ the same two records and `answer(trial)` decodes their one string from them.
 
 from ..errors import ValidationError
 from ..layout import load_layout
-from .base import (
-    ALICE,
-    BOB,
-    ChainEngine,
-    ChainGate,
-    CoalitionStrategy,
-    EntanglementLedger,
-    TrialState,
-    decode_chain_answer,
-    run_chain,
-)
+from .base import CoalitionStrategy
 from .basis import (
-    BREIDBART_BASIS,
     BreidbartAttack,
-    ChainAttack,
     CliffordAttack,
     LayoutAttack,
     PauliAttack,
@@ -40,16 +28,9 @@ from .ip import (
 )
 
 __all__ = [
-    "ALICE",
-    "BOB",
-    "BREIDBART_BASIS",
     "BreidbartAttack",
-    "ChainAttack",
-    "ChainEngine",
-    "ChainGate",
     "CliffordAttack",
     "CoalitionStrategy",
-    "EntanglementLedger",
     "LayoutAttack",
     "LossyConfidenceAttack",
     "PauliAttack",
@@ -58,9 +39,6 @@ __all__ = [
     "RandomGuessAttack",
     "SkAttack",
     "TreeAttack",
-    "TrialState",
-    "decode_chain_answer",
-    "run_chain",
     "strategy_from_name",
 ]
 

@@ -54,6 +54,17 @@ def _require_basis(challenge: Challenge):
         raise ValidationError("this strategy plays the basis game")
 
 
+def _require_dense(challenge: Challenge):
+    """The Pauli and chain strategies read the rotation as a matrix; a bb84
+    challenge names per-qubit letters and carries none."""
+    _require_basis(challenge)
+    share: BasisShare = challenge.v1_classical
+    if share.unitary is None:
+        raise ValidationError(
+            f"this strategy needs a dense rotation, and {share.family} challenges carry none"
+        )
+
+
 class PauliAttack(CoalitionStrategy):
     """Computational measurement beats any Pauli rotation without EPR pairs.
 
@@ -68,7 +79,7 @@ class PauliAttack(CoalitionStrategy):
         return 0
 
     def new_trial(self, challenge, delivered, rng) -> TrialState:
-        _require_basis(challenge)
+        _require_dense(challenge)
         trial = self.base_trial(challenge, delivered, rng)
         states = delivered.states
         if isinstance(states, QubitArray):
@@ -99,8 +110,11 @@ class ChainAttack(CoalitionStrategy):
     def _gates(self, challenge: Challenge) -> list[ChainGate]:
         raise NotImplementedError
 
+    def _check_challenge(self, challenge: Challenge):
+        _require_dense(challenge)
+
     def new_trial(self, challenge, delivered, rng) -> TrialState:
-        _require_basis(challenge)
+        self._check_challenge(challenge)
         trial = self.base_trial(challenge, delivered, rng)
         trial.alice["lost"] = delivered.lost
         engine = run_chain(
@@ -184,6 +198,7 @@ class TreeAttack(ChainAttack):
         ]
 
     def _check_challenge(self, challenge: Challenge):
+        super()._check_challenge(challenge)
         if challenge.n != 1:
             raise ValidationError("tree strategy runs single-qubit challenges")
         share: BasisShare = challenge.v1_classical
@@ -193,7 +208,6 @@ class TreeAttack(ChainAttack):
             )
 
     def new_trial(self, challenge, delivered, rng) -> TrialState:
-        self._check_challenge(challenge)
         trial = super().new_trial(challenge, delivered, rng)
         self._attach_slot_record(trial, rng)
         return trial

@@ -142,12 +142,6 @@ def sk_cost(t: int, l: int, semi_clifford: bool) -> CostReport:
     return CostReport(bound, bound, "sk")
 
 
-def semi_clifford_tree_degree(n: int) -> int:
-    """Branching degree of the tree when the gate is semi-Clifford: 4^n - 2^n."""
-    _require_positive(n, "n")
-    return 4**n - 2**n
-
-
 def _require_positive(value: int, name: str):
     if value < 1:
         raise ValidationError(f"{name} must be at least 1")

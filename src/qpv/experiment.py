@@ -331,6 +331,13 @@ def strip_wall_clock(record: dict) -> dict:
     return {k: v for k, v in record.items() if k != "wall_clock_seconds"}
 
 
+def _compared(value, field: str):
+    """A compared value as it stands, if it is a real number (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{field} must be a number, not {value!r}")
+    return value
+
+
 def compare_bounds(result: dict, cost: dict) -> list[dict]:
     """Check every quantity the two records share a bound for.
 
@@ -343,8 +350,8 @@ def compare_bounds(result: dict, cost: dict) -> list[dict]:
     rows: list[dict] = []
     ledger = result.get("ledger")
     if isinstance(ledger, dict) and "reserved_epr" in ledger and "bound_epr" in cost:
-        reserved = ledger["reserved_epr"]
-        bound = cost["bound_epr"]
+        reserved = _compared(ledger["reserved_epr"], "ledger.reserved_epr")
+        bound = _compared(cost["bound_epr"], "bound_epr")
         rows.append(
             {
                 "quantity": "reserved_epr",
@@ -359,8 +366,8 @@ def compare_bounds(result: dict, cost: dict) -> list[dict]:
         and isinstance(metrics.get("fidelity"), dict)
         and "fidelity_bound" in cost
     ):
-        fidelity = metrics["fidelity"]["mean"]
-        bound = cost["fidelity_bound"]
+        fidelity = _compared(metrics["fidelity"].get("mean"), "metrics.fidelity.mean")
+        bound = _compared(cost["fidelity_bound"], "fidelity_bound")
         rows.append(
             {
                 "quantity": "fidelity",

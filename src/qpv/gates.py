@@ -27,11 +27,6 @@ SWAP = np.array(
 )
 
 
-def phase_gate(k: int) -> np.ndarray:
-    """diag(1, exp(2*pi*i / 2^k)); k=3 is T, k=4 its square root."""
-    return np.diag([1.0, np.exp(2j * np.pi / 2**k)]).astype(np.complex128)
-
-
 GATES: dict[str, np.ndarray] = {
     "I": I2,
     "X": X,

@@ -114,14 +114,6 @@ class CircuitLayout:
         return u
 
 
-def single_gate_layout(gate: np.ndarray, level: int) -> CircuitLayout:
-    """One-qubit, one-layer layout wrapping a single gate."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    n = gate.shape[0].bit_length() - 1
-    targets = tuple(range(n))
-    return CircuitLayout(n, ((LayoutGate(gate, targets, level),),))
-
-
 # named gates accepted in layout files, with their default declared levels
 _NAMED_GATES: dict[str, tuple[np.ndarray, int]] = {
     name.upper(): (matrix, 3 if name in ("T", "Tdg") else 2)

@@ -2,8 +2,8 @@
 
 A Pauli operator on n qubits is stored symplectically: bit vectors x, z and
 a phase exponent p mod 4, denoting i^p * prod_j X_j^{x_j} Z_j^{z_j} (X to
-the left of Z on each qubit). Composition and action on basis states are
-then integer arithmetic; matrices are only built to cross-check.
+the left of Z on each qubit). Its action on basis states is then integer
+arithmetic (`_build_matrix`).
 
 Registers of at most _CACHED_QUBITS qubits share one interned operator per
 (x, z, phase), and one read-only matrix per operator. `try_as_pauli` reads
@@ -89,11 +89,6 @@ class PauliOperator:
             return _cached_matrix(self.x_bits, self.z_bits, self.phase)
         return _build_matrix(self.x_bits, self.z_bits, self.phase)
 
-    def inverse(self) -> "PauliOperator":
-        # (X^x Z^z)^2 = (-1)^{x.z} I, so the inverse reuses the same bits.
-        xz = sum(a & b for a, b in zip(self.x_bits, self.z_bits))
-        return PauliOperator(self.x_bits, self.z_bits, (-self.phase - 2 * xz) % 4)
-
 
 def single_qubit_pauli(name: str, qubit: int, n: int) -> PauliOperator:
     """Named Pauli embedded at one position of an n-qubit identity string."""
@@ -110,18 +105,6 @@ def single_qubit_pauli(name: str, qubit: int, n: int) -> PauliOperator:
     elif name != "I":
         raise ValidationError(f"unknown Pauli name {name!r}")
     return PauliOperator(x, z, 0)
-
-
-def pauli_mul(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Product a@b; moving each Z in a past each X in b costs a sign."""
-    if a.num_qubits != b.num_qubits:
-        raise ValidationError("Pauli size mismatch")
-    crossings = sum(az & bx for az, bx in zip(a.z_bits, b.x_bits))
-    return PauliOperator(
-        tuple(ax ^ bx for ax, bx in zip(a.x_bits, b.x_bits)),
-        tuple(az ^ bz for az, bz in zip(a.z_bits, b.z_bits)),
-        (a.phase + b.phase + 2 * crossings) % 4,
-    )
 
 
 def bits_of_index(index: int, n: int) -> tuple[int, ...]:
@@ -251,63 +234,6 @@ def hierarchy_level(u: np.ndarray, k_max: int = 4, tol: float = ATOL) -> Hierarc
         if _in_level(u, k, tol):
             return HierarchyLevel(k, k_max)
     return HierarchyLevel(None, k_max)
-
-
-def _symplectic_product(a: tuple[int, ...], b: tuple[int, ...], n: int) -> int:
-    ax, az = a[:n], a[n:]
-    bx, bz = b[:n], b[n:]
-    return (sum(x & z for x, z in zip(ax, bz)) + sum(x & z for x, z in zip(bx, az))) % 2
-
-
-def _maximal_isotropic_subgroups(n: int) -> list[list[PauliOperator]]:
-    """Maximal abelian subgroups of the phaseless Pauli group, n <= 2.
-
-    Vectors live in F_2^{2n} as (x_bits, z_bits); a maximal isotropic
-    subspace has dimension n (3 subgroups at n=1, 15 at n=2).
-    """
-    vecs = [v for v in itertools.product((0, 1), repeat=2 * n) if any(v)]
-    spans: dict[frozenset, list[tuple[int, ...]]] = {}
-    if n == 1:
-        for v in vecs:
-            spans[frozenset({v})] = [v]
-    elif n == 2:
-        for a, b in itertools.combinations(vecs, 2):
-            if _symplectic_product(a, b, n):
-                continue
-            ab = tuple(x ^ y for x, y in zip(a, b))
-            key = frozenset({a, b, ab})
-            spans.setdefault(key, [a, b, ab])
-    else:
-        raise ValidationError("is_semi_clifford supports n <= 2")
-    groups = []
-    for members in spans.values():
-        groups.append([PauliOperator(v[:n], v[n:]) for v in members])
-    return groups
-
-
-def is_semi_clifford(u: np.ndarray, tol: float = ATOL) -> bool:
-    """True iff some maximal abelian Pauli subgroup stays Pauli under U . U^dag."""
-    u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0].bit_length() - 1
-    ud = u.conj().T
-    for group in _maximal_isotropic_subgroups(n):
-        if all(try_as_pauli(u @ p.matrix() @ ud, tol) is not None for p in group):
-            return True
-    return False
-
-
-def count_pauli_preserving(u: np.ndarray, tol: float = ATOL) -> int:
-    """How many of the 4^n phaseless Paulis conjugate to a Pauli under U."""
-    u = np.asarray(u, dtype=np.complex128)
-    n = u.shape[0].bit_length() - 1
-    if n > 2:
-        raise ValidationError("count_pauli_preserving supports n <= 2")
-    ud = u.conj().T
-    return sum(
-        1
-        for sigma in phaseless_paulis(n)
-        if try_as_pauli(u @ sigma.matrix() @ ud, tol) is not None
-    )
 
 
 def random_clifford(n: int, rng) -> np.ndarray:

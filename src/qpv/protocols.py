@@ -22,7 +22,7 @@ Two deliberate asymmetries, preserved from the protocol definitions:
 Product-state payloads (the IP game and the bb84 family) use the per-qubit
 QubitArray representation so n = 10^4 games stay cheap; the entangling basis
 families (pauli, clifford, haar, explicit, layout) use full state vectors at
-desk scale n <= 8.
+desk scale, and `BasisGameSpec` refuses them above MAX_DENSE_QUBITS = 12.
 
 An IP challenge has one layout: each share's factors are a (t, copies, 2, 2)
 stack and the secret unitary a (copies, 2, 2) stack, where copies is n with
@@ -59,7 +59,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceError, ValidationError
 from .gates import H, I2, X, Y, Z
 from .layout import CircuitLayout
 from .pauli import PauliOperator, random_clifford
@@ -84,6 +84,10 @@ BLOCK_QUBITS = 128
 
 BASIS_FAMILIES = ("explicit", "pauli", "clifford", "bb84", "haar", "layout")
 
+# widest dense basis game: past it the payload and its 2^n x 2^n rotation
+# leave desk scale (see `statevec`); bb84 payloads are per qubit
+MAX_DENSE_QUBITS = 12
+
 
 @dataclass(frozen=True)
 class BasisGameSpec:
@@ -100,6 +104,10 @@ class BasisGameSpec:
             raise ValidationError("n must be at least 1")
         if self.family not in BASIS_FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}")
+        if self.family != "bb84" and self.n > MAX_DENSE_QUBITS:
+            raise ResourceError(
+                f"{self.family} basis games above {MAX_DENSE_QUBITS} qubits are past desk scale"
+            )
         if not 0.0 <= self.eta <= 1.0:
             raise ValidationError("eta must lie in [0, 1]")
         if self.family == "explicit":

@@ -486,47 +486,3 @@ def _calibrate(net: EpsilonNet) -> SkCalibration:
         commutator_constant=constant,
         samples=_CALIBRATION_SAMPLES,
     )
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    depth: int
-    mean_length: float
-    mean_distance: float
-
-
-def length_accuracy_profile(
-    samples: int, depths, net: EpsilonNet, rng: RngStream
-) -> list[ProfileRow]:
-    """Empirical word length and accuracy per recursion depth on Haar targets."""
-    if samples < 1:
-        raise ValidationError("need at least one sample")
-    depths = [int(d) for d in depths]
-    for depth in depths:
-        _check_depth(depth)
-    top = max(depths, default=0)
-    if top > 0:
-        net.ensure_convergent()
-    targets = [to_su2(haar_random_unitary(2, rng.substream(i + 1))) for i in range(samples)]
-    # stripped a second time, as sk_decompose strips its input, so the words match it
-    spines = [_spine(to_su2(target), top, net) for target in targets]
-    rows = []
-    for depth in depths:
-        words = [spine[depth] for spine in spines]
-        lengths = np.array([word.length for word in words], dtype=float)
-        dists = np.array([su2_distance(t, to_su2(w.unitary)) for t, w in zip(targets, words)])
-        rows.append(ProfileRow(depth, float(lengths.mean()), float(dists.mean())))
-    return rows
-
-
-def fit_length_exponent(rows) -> float:
-    """Slope c of log(length) against log(log(1/eps)) over depth >= 1 rows."""
-    xs, ys = [], []
-    for row in rows:
-        if row.depth >= 1 and 0.0 < row.mean_distance < 1.0:
-            xs.append(np.log(np.log(1.0 / row.mean_distance)))
-            ys.append(np.log(row.mean_length))
-    if len(xs) < 2:
-        raise ValidationError("need at least two usable rows to fit an exponent")
-    slope = np.polyfit(np.array(xs), np.array(ys), 1)[0]
-    return float(slope)

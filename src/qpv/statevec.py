@@ -74,10 +74,6 @@ class StateVector:
         a[index_of_bits(bits)] = 1.0
         return cls(a)
 
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        return cls.from_bits([0] * n)
-
     def tensor(self, other: "StateVector") -> "StateVector":
         return StateVector(np.kron(self.amps, other.amps))
 
@@ -85,9 +81,6 @@ class StateVector:
         if self.amps.shape != other.amps.shape:
             raise ValidationError("state dimension mismatch")
         return complex(np.vdot(self.amps, other.amps))
-
-    def density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amps, self.amps.conj()), check=False)
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -223,27 +216,6 @@ def move_qubit(state: StateVector, src: int, dst: int) -> StateVector:
     return StateVector(t.reshape(-1))
 
 
-def partial_trace_matrix(mat: np.ndarray, keep) -> np.ndarray:
-    """Partial trace of any square power-of-two operator; no trace-1 requirement."""
-    mat = np.asarray(mat, dtype=np.complex128)
-    d = mat.shape[0]
-    n = d.bit_length() - 1
-    keep = sorted(_check_targets(keep, n))
-    t = mat.reshape((2,) * (2 * n))
-    m = n
-    for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + m)
-        m -= 1
-    dd = 2**m
-    return t.reshape(dd, dd)
-
-
-def partial_trace(rho, keep) -> DensityMatrix:
-    """Trace out every qubit not listed; kept qubits stay in ascending order."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=np.complex128)
-    return DensityMatrix(partial_trace_matrix(mat, keep), check=False)
-
-
 def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     """min over phases of the spectral norm ||U - e^{i phi} V||.
 
@@ -303,20 +275,6 @@ def haar_random_unitary(dim: int, rng: RngStream) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def haar_qubit_stack(calls: int, count: int, rng: RngStream) -> np.ndarray:
-    """`calls` stacks of `count` Haar 2x2 unitaries, shape (calls, count, 2, 2).
-
-    One normal draw laid out as (call, re/im, count, 2, 2) takes each
-    call's real parts, then its imaginary parts, so stack k holds the bits
-    of the k-th of `calls` successive haar_qubit_batch(count) draws.
-    """
-    if calls < 1:
-        raise ValidationError("calls must be at least 1")
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    return haar_from_normals(rng.generator.standard_normal((calls, 2, count, 2, 2)))
-
-
 def haar_from_normals(g: np.ndarray) -> np.ndarray:
     """Haar 2x2 unitaries from standard normals laid out (..., re/im, count, 2, 2).
 
@@ -332,8 +290,11 @@ def haar_from_normals(g: np.ndarray) -> np.ndarray:
 
 
 def haar_qubit_batch(count: int, rng: RngStream) -> np.ndarray:
-    """Stack of `count` independent Haar 2x2 unitaries, shape (count, 2, 2)."""
-    return haar_qubit_stack(1, count, rng)[0]
+    """Stack of `count` independent Haar 2x2 unitaries, shape (count, 2, 2):
+    one normal draw laid out (re/im, count, 2, 2)."""
+    if count < 1:
+        raise ValidationError("count must be at least 1")
+    return haar_from_normals(rng.generator.standard_normal((2, count, 2, 2)))
 
 
 def haar_random_state(n: int, rng: RngStream) -> StateVector:
@@ -362,7 +323,7 @@ class QubitArray:
 
     __slots__ = ("amps",)
 
-    def __init__(self, amps, normalize: bool = False):
+    def __init__(self, amps):
         a = np.ascontiguousarray(amps, dtype=np.complex128)
         if a.ndim != 2 or a.shape[1] != 2 or a.shape[0] < 1:
             raise ValidationError("QubitArray expects an (n, 2) array")
@@ -370,13 +331,7 @@ class QubitArray:
         # the conjugate
         re_im = a.view(np.float64)
         norms = np.sqrt(np.einsum("ij,ij->i", re_im, re_im))
-        if normalize:
-            if np.any(norms == 0.0):
-                raise ValidationError("cannot normalize a zero row")
-            if not np.all(np.isfinite(norms)):
-                raise ValidationError("cannot normalize a row that is not finite")
-            a = a / norms[:, None]
-        elif not np.all(np.abs(norms - 1.0) <= ATOL_EXACT):
+        if not np.all(np.abs(norms - 1.0) <= ATOL_EXACT):
             raise ValidationError("every qubit row must have unit norm")
         self.amps = a
 

@@ -43,7 +43,7 @@ from .statevec import (
 
 @dataclass(frozen=True)
 class TeleportResult:
-    """Receiver holds correction * |input>; undo with correction.inverse()."""
+    """Receiver holds correction * |input>; undo it with the correction's adjoint."""
 
     correction: PauliOperator
     receiver_state: StateVector

@@ -24,7 +24,7 @@ from qpv.attacks import (
 from qpv.attacks.base import decode_chain_answer
 from qpv.attacks.basis import _pauli_key
 from qpv.errors import StrategyError, ValidationError
-from qpv.layout import CircuitLayout, LayoutGate, load_layout, single_gate_layout
+from qpv.layout import CircuitLayout, LayoutGate, load_layout
 from qpv.pauli import PauliOperator, random_clifford
 from qpv.protocols import (
     BasisGameSpec,
@@ -43,8 +43,9 @@ from qpv.statevec import (
     bell_pair,
     fidelity,
     measure_computational,
-    partial_trace,
 )
+
+from oracles import partial_trace, phase_gate, single_gate_layout
 
 CLEAN = ChannelModel()
 # the layout of the benchmark's basis-layout-chain workload
@@ -181,7 +182,7 @@ def test_tree_attack_breaks_third_level_gates():
 
 
 def test_tree_attack_depth_four():
-    stats = play(tree_spec(gates.phase_gate(3)), TreeAttack(4), 40)
+    stats = play(tree_spec(phase_gate(3)), TreeAttack(4), 40)
     assert stats.win_rate == 1.0
     assert stats.reserved_epr == 58
 
@@ -308,7 +309,7 @@ def test_tree_attack_handles_gates_below_its_level():
 
 
 def test_tree_attack_depth_four_on_the_pi_over_8_phase_gate():
-    stats = play(tree_spec(gates.phase_gate(4)), TreeAttack(4), 200, seed=15)
+    stats = play(tree_spec(phase_gate(4)), TreeAttack(4), 200, seed=15)
     assert stats.win_rate == 1.0
     assert stats.reserved_epr == 58
     # one hop in and two burn round trips
@@ -421,7 +422,7 @@ def test_chain_keeps_its_premeasure_float_bits():
     chain5 = premeasure_digest(
         BasisGameSpec(2, "layout", layout=layout), LayoutAttack(layout), 5
     )
-    tree4 = premeasure_digest(tree_spec(gates.phase_gate(4)), TreeAttack(4), 5)
+    tree4 = premeasure_digest(tree_spec(phase_gate(4)), TreeAttack(4), 5)
     assert chain5 == (
         "b5b69267fa2eaddb0399878d2308b5df0d2729d6f4807d26f98c3443ebcf993c"
     )

@@ -35,8 +35,10 @@ from qpv.protocols import (
     gen_basis_challenge,
 )
 from qpv.rng import RngStream
-from qpv.statevec import StateVector, apply_unitary, measure_computational
+from qpv.statevec import apply_unitary, measure_computational
 from qpv.teleport import teleport_register
+
+from oracles import phase_gate, zero_state
 
 
 class PhysicalChainEngine:
@@ -117,7 +119,7 @@ def clifford_games(draw):
 def tree_games(draw):
     k = draw(st.sampled_from((3, 4)))
     c = random_clifford(1, RngStream(draw(st.integers(0, 2**16)), 5))
-    top = gates.T if k == 3 else gates.phase_gate(4)
+    top = gates.T if k == 3 else phase_gate(4)
     unitaries = (top, c @ top @ c.conj().T, gates.H @ top, gates.H, np.eye(2))
     return BasisGameSpec(1, "explicit", unitaries=unitaries), TreeAttack(k), 1
 
@@ -196,7 +198,7 @@ def test_bell_outcomes_match_generator_choice(seed):
     hops = 5000
     live, ref = RngStream(seed, 3), RngStream(seed, 3)
     engine = ChainEngine(
-        2, state=StateVector.zero(2), rng=live,
+        2, state=zero_state(2), rng=live,
         ledger=EntanglementLedger(2 * hops),
     )
     transcript = engine.transcript

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from qpv.cli import main
 from qpv.experiment import canonical_json, strip_wall_clock
+
+T_PAIR_CNOT = Path(__file__).parent / "layouts" / "t_pair_cnot.json"
 
 TINY_RUN = """\
 game = ip
@@ -137,6 +140,65 @@ def test_compare_exits_three_on_a_failing_bound(tmp_path, capsys):
     lines = error_lines(err)
     assert len(lines) == 1
     assert lines[0].startswith("error=BoundCheckError:")
+
+
+@pytest.mark.parametrize(
+    "result, cost, field",
+    [
+        ({"ledger": {"reserved_epr": "x"}}, {"bound_epr": 3}, "ledger.reserved_epr"),
+        ({"ledger": {"reserved_epr": 3}}, {"bound_epr": True}, "bound_epr"),
+        ({"metrics": {"fidelity": {"mean": None}}}, {"fidelity_bound": 0.5}, "metrics.fidelity.mean"),
+        ({"metrics": {"fidelity": {"mean": 0.9}}}, {"fidelity_bound": [0.5]}, "fidelity_bound"),
+    ],
+    ids=["reserved", "bound", "fidelity", "fidelity-bound"],
+)
+def test_compare_rejects_a_value_that_is_not_a_number(result, cost, field, tmp_path, capsys):
+    result_path = tmp_path / "result.json"
+    cost_path = tmp_path / "cost.json"
+    result_path.write_text(json.dumps(result))
+    cost_path.write_text(json.dumps(cost))
+    assert main(["compare", str(result_path), str(cost_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error=ValidationError: {field} must be a number")
+
+
+@pytest.mark.parametrize("actor", ["pauli", "clifford", "tree:3", "layout"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_run_rejects_a_dense_attack_on_bb84_with_one_error_line(actor, n, tmp_path, capsys):
+    if actor == "layout":
+        actor = f"layout:{T_PAIR_CNOT}"
+    config = tmp_path / "bb84.cfg"
+    config.write_text(
+        f"game = basis\nn = {n}\nfamily = bb84\nactor = {actor}\ntrials = 3\nseed = 1\n"
+    )
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0] == (
+        "error=ValidationError: this strategy needs a dense rotation, "
+        "and bb84 challenges carry none"
+    )
+
+
+@pytest.mark.parametrize("family, n", [("pauli", 16), ("haar", 40)])
+def test_run_rejects_a_dense_basis_game_past_desk_scale_with_one_error_line(
+    family, n, tmp_path, capsys
+):
+    config = tmp_path / "wide.cfg"
+    config.write_text(
+        f"game = basis\nn = {n}\nfamily = {family}\nactor = honest\ntrials = 1\nseed = 1\n"
+    )
+    assert main(["run", str(config)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error=ResourceError:")
 
 
 @pytest.mark.parametrize("ports, bound", [(3, 0.0), (4, 0.0), (8, 0.5), (16, 0.75)])

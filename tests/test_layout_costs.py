@@ -14,13 +14,14 @@ from qpv.costs import (
     pauli_cost,
     pbt_cost,
     pbt_fidelity_bound,
-    semi_clifford_tree_degree,
     sk_cost,
     tree_cost,
 )
 from qpv.errors import ValidationError
-from qpv.layout import CircuitLayout, LayoutGate, load_layout, single_gate_layout
+from qpv.layout import CircuitLayout, LayoutGate, load_layout
 from qpv.statevec import embed_operator
+
+from oracles import semi_clifford_tree_degree, single_gate_layout
 
 
 def t_layer():

@@ -14,17 +14,16 @@ from qpv.pauli import (
     ATOL,
     CLIFFORD_1Q,
     PauliOperator,
-    count_pauli_preserving,
     hierarchy_level,
     is_clifford,
-    is_semi_clifford,
-    pauli_mul,
     random_clifford,
     single_qubit_pauli,
     try_as_pauli,
 )
 from qpv.rng import RngStream
 from qpv.statevec import haar_random_unitary
+
+from oracles import count_pauli_preserving, is_semi_clifford, pauli_mul
 
 # X^x Z^z for each (x, z): the oracle builds a Pauli's matrix as the
 # Kronecker product of these, one factor per qubit

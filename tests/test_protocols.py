@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 
 from qpv import gates, protocols
 from qpv.attacks import strategy_from_name
-from qpv.errors import ValidationError
-from qpv.layout import single_gate_layout
+from qpv.errors import ResourceError, ValidationError
 from qpv.pauli import try_as_pauli
 from qpv.protocols import (
     BLOCK_QUBITS,
@@ -33,10 +33,12 @@ from qpv.rng import RngStream
 from qpv.statevec import (
     QubitArray,
     StateVector,
-    haar_qubit_stack,
+    haar_qubit_batch,
     phase_invariant_distance,
     qubit_phase_distances,
 )
+
+from oracles import single_gate_layout
 
 
 def test_basis_spec_validation():
@@ -54,6 +56,25 @@ def test_basis_spec_validation():
         BasisGameSpec(2, "layout")
     with pytest.raises(ValidationError):
         BasisGameSpec(2, "layout", layout=single_gate_layout(gates.T, 3))
+
+
+@pytest.mark.parametrize("family", ["explicit", "pauli", "clifford", "haar", "layout"])
+def test_basis_spec_refuses_a_dense_game_past_desk_scale(family):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            BasisGameSpec(protocols.MAX_DENSE_QUBITS + 1, family)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a 13-qubit state vector alone would take 128 KiB
+    assert peak < 64 * 1024
+
+
+def test_bb84_games_run_at_ten_thousand_qubits():
+    spec = BasisGameSpec(10_000, "bb84")
+    stats = run_game(spec, HonestProver(), ChannelModel(), 3, RngStream(71, 0))
+    assert stats.win_rate == 1.0
 
 
 def test_ip_spec_and_channel_validation():
@@ -145,7 +166,8 @@ def _reconstruct_oracle(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("t", [1, 2, 3, 5])
 @pytest.mark.parametrize("copies", [1, 7])
 def test_interleave_matches_the_per_copy_oracle(t, copies):
-    draws = haar_qubit_stack(2 * t, copies, RngStream(61, t))
+    rng = RngStream(61, t)
+    draws = np.stack([haar_qubit_batch(copies, rng) for _ in range(2 * t)])
     u, v = draws[:t], draws[t:]
     product = interleave(u, v)
     assert product.shape == (copies, 2, 2)
@@ -180,7 +202,7 @@ def _per_trial_challenge(spec: IPGameSpec, rng: RngStream):
     reference for `gen_ip_block`."""
     x = rng.bits(spec.n)
     copies = spec.n if spec.per_qubit_unitaries else 1
-    draws = haar_qubit_stack(2 * spec.t, copies, rng)
+    draws = np.stack([haar_qubit_batch(copies, rng) for _ in range(2 * spec.t)])
     target = draws[0]
     u = draws[1::2].copy()
     v = np.empty_like(u)

@@ -31,8 +31,6 @@ from qpv.sk import (
     adjoint_letters,
     build_net,
     concat_words,
-    fit_length_exponent,
-    length_accuracy_profile,
     pad_to_length,
     reduce_letters,
     sk_decompose,
@@ -40,6 +38,8 @@ from qpv.sk import (
     to_su2,
 )
 from qpv.statevec import haar_random_unitary
+
+from oracles import fit_length_exponent, length_accuracy_profile
 
 
 def test_gate_word_product_and_adjoint():

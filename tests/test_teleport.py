@@ -16,7 +16,6 @@ from qpv.statevec import (
     embed_operator,
     fidelity,
     haar_random_state,
-    partial_trace_matrix,
 )
 from qpv.teleport import (
     PbtChannel,
@@ -28,6 +27,8 @@ from qpv.teleport import (
     teleport_gate,
     teleport_register,
 )
+
+from oracles import density, partial_trace_matrix, phase_gate
 
 
 def test_teleport_restores_state_after_correction():
@@ -82,8 +83,6 @@ def test_gate_teleport_applies_the_gate_exactly():
 def test_gate_teleport_rejects_levels_above_three():
     rng = RngStream(12, 0)
     psi = haar_random_state(1, rng)
-    from qpv.gates import phase_gate
-
     with pytest.raises(ValidationError):
         teleport_gate(psi, phase_gate(4), rng)  # pi/8 phase sits at level 4
 
@@ -215,7 +214,7 @@ def test_pbt_density_path_agrees_with_pure_path():
     for i in range(250):
         psi = haar_random_state(1, RngStream(31, 3).substream(1 + i))
         rp = pbt_teleport(psi, ch, rng_pure.substream(1 + i))
-        rd = pbt_teleport_density(psi.density(), ch, rng_dens.substream(1 + i))
+        rd = pbt_teleport_density(density(psi), ch, rng_dens.substream(1 + i))
         fp.append(fidelity(psi, rp.receiver))
         fd.append(float(np.real(np.vdot(psi.amps, rd.receiver.mat @ psi.amps))))
     assert abs(np.mean(fp) - np.mean(fd)) < 0.03
