@@ -48,7 +48,7 @@ from ..errors import BoundCheckError, StrategyError
 from ..pauli import PauliOperator, hierarchy_level, pauli_from_masks, try_as_pauli
 from ..protocols import Challenge, DeliveredPayload, TrialOutcome
 from ..rng import RngStream
-from ..statevec import StateVector, apply_unitary, measure_computational
+from ..statevec import StateVector, apply_unitary, measure_register
 
 ALICE = "A"
 BOB = "B"
@@ -158,7 +158,8 @@ class CorrectionTranscript:
 
     A live chain records every correction under the party that sent the
     qubit; after the exchange the answer replays the chain, reading each
-    party's corrections back in the same order.
+    party's corrections back in the same order. A replay must read both
+    lists exactly to their ends.
     """
 
     def __init__(self, alice=None, bob=None):
@@ -177,6 +178,15 @@ class CorrectionTranscript:
             raise StrategyError("correction transcript exhausted during replay")
         self._cursor[party] = cursor + 1
         return queue[cursor]
+
+    def check_read(self):
+        """Raise if a replay left a recorded correction unread."""
+        for party, queue in self._queues.items():
+            unread = len(queue) - self._cursor[party]
+            if unread:
+                raise StrategyError(
+                    f"replay left {unread} of party {party}'s corrections unread"
+                )
 
 
 @dataclass(frozen=True)
@@ -215,6 +225,11 @@ class ChainEngine:
     the corrections back from the exchanged transcripts, so the answer is
     decoded by replaying the identical control flow. A replay engine tracks
     O only: W serves measure(), which a replay engine cannot call.
+
+    A replay builds O from the same matrices by the same products in the
+    same order as the live run did, so after every strip its O is the live
+    O bit for bit. Only the live engine therefore checks that O is Pauli
+    after a strip; the replay checks its final O once, in decode_pauli.
     """
 
     def __init__(
@@ -274,8 +289,10 @@ class ChainEngine:
         The burn count is fixed by the declared level, not by the realized
         corrections: neither party can see the other's Bell outcomes, so the
         hop structure is pre-agreed and runs even on trials where the outer
-        operator collapses early. Raises if the operator is still outside
-        the Pauli group afterwards, which signals a wrong declared level.
+        operator collapses early. A live engine raises if the operator is
+        still outside the Pauli group afterwards, which signals a wrong
+        declared level; a replay's operator is the live one bit for bit, so
+        it would reach the same verdict and skips the check.
         """
         self.move_to(gate.owner)
         self.outer = gate.adjoint @ self.outer @ gate.matrix
@@ -284,7 +301,7 @@ class ChainEngine:
         for burns in range(gate.max_burns):
             check = gate.level_checks[burns] if burns < len(gate.level_checks) else None
             self._burn(gate.targets, check)
-        if try_as_pauli(self.outer) is None:
+        if self.live and try_as_pauli(self.outer) is None:
             raise StrategyError(
                 f"outer operator not Pauli after {gate.max_burns} burns "
                 f"on {gate.label or 'gate'}"
@@ -306,13 +323,13 @@ class ChainEngine:
 
     def measure(self) -> tuple[int, ...]:
         """Evolve the payload by O W and measure every qubit; `state` then
-        holds the register just before the measurement."""
+        holds the register just before the measurement. Only the outcome
+        bits are drawn: nobody reads the collapsed register."""
         if not self.live:
             raise StrategyError("replay engines cannot measure")
         qubits = tuple(range(self.n))
         self.state = apply_unitary(self.state, self.outer @ self.inverse, qubits)
-        bits, _ = measure_computational(self.state, qubits, self.rng)
-        return bits
+        return measure_register(self.state, self.rng)
 
     def decode_pauli(self) -> PauliOperator:
         """Reduce the final outer operator to the Pauli the answer inverts."""
@@ -354,7 +371,10 @@ def decode_chain_answer(
     bob_sigmas: list,
     measured: tuple[int, ...],
 ) -> np.ndarray:
-    """Replay the chain from the exchanged transcripts and undo the residue."""
+    """Replay the chain from the exchanged transcripts and undo the residue.
+    Raises StrategyError if the replay leaves a correction unread or runs
+    out of them."""
     engine = run_chain(gates, n, alice_sigmas=alice_sigmas, bob_sigmas=bob_sigmas)
+    engine.transcript.check_read()
     residue = engine.decode_pauli()
     return np.bitwise_xor(measured, residue.x_bits).astype(np.uint8)

@@ -33,7 +33,7 @@ from ..layout import CircuitLayout
 from ..pauli import PauliOperator, hierarchy_level, try_as_pauli
 from ..protocols import BasisShare, Challenge, render_answer
 from ..rng import RngStream
-from ..statevec import QubitArray, embed_operator, measure_computational
+from ..statevec import QubitArray, embed_operator, measure_register
 from .base import (
     BOB,
     ChainGate,
@@ -85,7 +85,7 @@ class PauliAttack(CoalitionStrategy):
         if isinstance(states, QubitArray):
             bits = states.measure_all(rng)
         else:
-            bits, _ = measure_computational(states, tuple(range(challenge.n)), rng)
+            bits = measure_register(states, rng)
         trial.alice["bits"] = bits
         trial.alice["lost"] = delivered.lost
         share: BasisShare = challenge.v1_classical

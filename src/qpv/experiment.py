@@ -83,7 +83,9 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def as_dict(self) -> dict:
-        """Exactly the keys serialize_config writes, in the same order."""
+        """The config's keys in canonical order, as the run record echoes
+        them: a key the game does not read, or an unset layout file, is
+        left out."""
         d: dict = {"schema": SCHEMA_VERSION, "game": self.game, "n": self.n}
         d["actor"] = self.actor
         if self.game == "basis":
@@ -228,12 +230,6 @@ def format_value(value) -> str:
     return str(value)
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical config text; parse_config(serialize_config(c)) == c."""
-    lines = [f"{key} = {format_value(value)}" for key, value in config.as_dict().items()]
-    return "\n".join(lines) + "\n"
-
-
 def build_spec(config: ExperimentConfig):
     """Config -> (game spec, channel); the channel is None in bank mode."""
     if config.game == "basis":
@@ -325,10 +321,6 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
 
 def canonical_json(record: dict) -> str:
     return json.dumps(record, sort_keys=True, indent=2) + "\n"
-
-
-def strip_wall_clock(record: dict) -> dict:
-    return {k: v for k, v in record.items() if k != "wall_clock_seconds"}
 
 
 def _compared(value, field: str):

@@ -72,7 +72,7 @@ from .statevec import (
     check_unitary,
     haar_from_normals,
     haar_random_unitary,
-    measure_computational,
+    measure_register,
     qubit_phase_distances,
 )
 
@@ -160,10 +160,6 @@ class ChannelModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-
-    @property
-    def noiseless(self) -> bool:
-        return self.p_loss == 0.0 and self.p_dep == 0.0
 
 
 NOISELESS = ChannelModel(0.0, 0.0)
@@ -411,10 +407,7 @@ def honest_prover_basis(
     else:
         inverse = share.unitary.conj().T
         undone = apply_unitary(states, inverse, tuple(range(challenge.n)))
-        measured, _ = measure_computational(
-            undone, tuple(range(challenge.n)), rng
-        )
-        bits = np.array(measured, dtype=np.uint8)
+        bits = np.array(measure_register(undone, rng), dtype=np.uint8)
     # one batched integers(2) draw yields the same values, and leaves the
     # stream at the same point, as one scalar draw per lost qubit in order
     lost = np.asarray(delivered.lost, dtype=bool)

@@ -131,18 +131,46 @@ def _check_targets(targets, n: int) -> list[int]:
 
 
 def apply_unitary(state: StateVector, u: np.ndarray, targets) -> StateVector:
-    """Apply a 2^k-dimensional unitary to the listed qubits, identity elsewhere."""
+    """Apply a 2^k-dimensional unitary to the listed qubits, identity elsewhere.
+
+    When the targets are the whole register in order, this is one
+    matrix-vector `dot`: the very product `tensordot` makes in that case,
+    with u in the same memory order, so the amplitudes come out bit for bit
+    the same without the axis plumbing.
+    """
     n = state.num_qubits
     targets = _check_targets(targets, n)
     k = len(targets)
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2**k, 2**k):
         raise ValidationError(f"gate dimension {u.shape} does not match {k} targets")
+    if targets == list(range(n)):
+        return StateVector(np.dot(u, state.amps.reshape(-1, 1)).reshape(-1))
     t = state.amps.reshape((2,) * n)
     ut = u.reshape((2,) * (2 * k))
     t = np.tensordot(ut, t, axes=(tuple(range(k, 2 * k)), tuple(targets)))
     t = np.moveaxis(t, tuple(range(k)), tuple(targets))
     return StateVector(t.reshape(-1))
+
+
+def _draw_outcome(weights: np.ndarray, rng: RngStream) -> int:
+    """Index drawn from the Born weights (any positive scale) with one
+    rng.random() double: the draw and the index of
+    Generator.choice(len(weights), p=weights / weights.sum())."""
+    marg = weights / weights.sum()
+    cdf = marg.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def measure_register(state: StateVector, rng: RngStream) -> tuple[int, ...]:
+    """Outcome bits of measuring every qubit, first qubit first.
+
+    The same draw as measure_computational(state, range(n), rng), which it
+    leaves at the same stream position, but no collapsed state is built.
+    """
+    outcome = _draw_outcome(np.abs(state.amps) ** 2, rng)
+    return bits_of_index(outcome, state.num_qubits)
 
 
 def measure_computational(
@@ -152,19 +180,15 @@ def measure_computational(
 
     Returns the outcome bits (in target-list order) and the collapsed state.
     With drop=True the measured qubits leave the register; the survivors
-    keep their original relative order.
+    keep their original relative order. A caller that needs only the bits
+    of every qubit uses measure_register.
     """
     n = state.num_qubits
     targets = _check_targets(targets, n)
     k = len(targets)
     perm = targets + [a for a in range(n) if a not in targets]
     rows = np.transpose(state.amps.reshape((2,) * n), perm).reshape(2**k, -1)
-    marg = np.sum(np.abs(rows) ** 2, axis=1)
-    marg = marg / marg.sum()
-    # the draw and the index of Generator.choice(2**k, p=marg)
-    cdf = marg.cumsum()
-    cdf /= cdf[-1]
-    outcome = int(cdf.searchsorted(rng.random(), side="right"))
+    outcome = _draw_outcome(np.sum(np.abs(rows) ** 2, axis=1), rng)
     bits = bits_of_index(outcome, k)
 
     picked = rows[outcome]

@@ -6,7 +6,10 @@
   claims of Gottesman & Chuang, Nature 402, 390 (1999);
 - the SK word-length profile and its length exponent;
 - small builders: the semi-Clifford tree degree, one-gate layouts and the
-  diagonal phase gates.
+  diagonal phase gates;
+- config and record helpers: canonical config text, a record without its
+  wall clock, and whether a channel is noiseless;
+- the whole-register `apply_unitary` written through `tensordot`.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import numpy as np
 
 from qpv.costs import _require_positive
 from qpv.errors import ValidationError
+from qpv.experiment import ExperimentConfig, format_value
 from qpv.layout import CircuitLayout, LayoutGate
 from qpv.pauli import ATOL, PauliOperator, phaseless_paulis, try_as_pauli
+from qpv.protocols import ChannelModel
 from qpv.rng import RngStream
 from qpv.sk import EpsilonNet, _check_depth, _spine, su2_distance, to_su2
 from qpv.statevec import DensityMatrix, StateVector, _check_targets, haar_random_unitary
@@ -184,3 +189,29 @@ def single_gate_layout(gate: np.ndarray, level: int) -> CircuitLayout:
 def phase_gate(k: int) -> np.ndarray:
     """diag(1, exp(2*pi*i / 2^k)); k=3 is T, k=4 its square root."""
     return np.diag([1.0, np.exp(2j * np.pi / 2**k)]).astype(np.complex128)
+
+
+def serialize_config(config: ExperimentConfig) -> str:
+    """Canonical config text; parse_config(serialize_config(c)) == c."""
+    lines = [f"{key} = {format_value(value)}" for key, value in config.as_dict().items()]
+    return "\n".join(lines) + "\n"
+
+
+def strip_wall_clock(record: dict) -> dict:
+    return {k: v for k, v in record.items() if k != "wall_clock_seconds"}
+
+
+def noiseless(channel: ChannelModel) -> bool:
+    return channel.p_loss == 0.0 and channel.p_dep == 0.0
+
+
+def apply_unitary_tensordot(state: StateVector, u: np.ndarray) -> StateVector:
+    """u on the whole register through the general `tensordot` form."""
+    n = state.num_qubits
+    t = np.tensordot(
+        np.asarray(u, dtype=np.complex128).reshape((2,) * (2 * n)),
+        state.amps.reshape((2,) * n),
+        axes=(tuple(range(n, 2 * n)), tuple(range(n))),
+    )
+    t = np.moveaxis(t, tuple(range(n)), tuple(range(n)))
+    return StateVector(t.reshape(-1))

@@ -8,6 +8,7 @@ the end, so under one random stream both must agree on every draw, burn,
 ledger count, measured bit and, to rounding, the final state.
 """
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,14 +24,16 @@ from qpv.attacks.base import (
     ChainEngine,
     CorrectionTranscript,
     EntanglementLedger,
+    decode_chain_answer,
     run_chain,
 )
 from qpv.errors import StrategyError
-from qpv.layout import CircuitLayout, LayoutGate
+from qpv.layout import CircuitLayout, LayoutGate, load_layout
 from qpv.pauli import hierarchy_level, random_clifford, try_as_pauli
 from qpv.protocols import (
     BasisGameSpec,
     ChannelModel,
+    DeliveredPayload,
     apply_channel,
     gen_basis_challenge,
 )
@@ -39,6 +42,9 @@ from qpv.statevec import apply_unitary, measure_computational
 from qpv.teleport import teleport_register
 
 from oracles import phase_gate, zero_state
+
+# the layout of the benchmark's basis-layout-chain workload
+CHAIN5 = Path(__file__).parent.parent / "perfbench" / "layouts" / "chain5.json"
 
 
 class PhysicalChainEngine:
@@ -210,3 +216,65 @@ def test_bell_outcomes_match_generator_choice(seed):
         outcomes += [x + 2 * z for x, z in zip(sigma.x_bits, sigma.z_bits)]
     assert outcomes == _choice_bell_outcomes(ref, 2 * hops)
     assert live.random() == ref.random()
+
+
+def _replayed_chains():
+    layout = load_layout(CHAIN5)
+    yield "chain5", BasisGameSpec(2, "layout", layout=layout), LayoutAttack(layout)
+    yield "tree:3", BasisGameSpec(1, "explicit", unitaries=(gates.T,)), TreeAttack(3)
+    yield (
+        "tree:4",
+        BasisGameSpec(1, "explicit", unitaries=(phase_gate(4),)),
+        TreeAttack(4),
+    )
+    for n in (1, 2, 3):
+        yield f"clifford:{n}", BasisGameSpec(n, "clifford"), CliffordAttack()
+
+
+@pytest.mark.parametrize("seed", [5, 23, 83])
+def test_replay_outer_operator_keeps_the_live_bits(seed):
+    # the replay skips the live engine's Pauli check after each strip, which
+    # is sound only if its outer operator is the live one bit for bit
+    channel = ChannelModel(p_loss=0.2, p_dep=0.1)
+    for name, spec, attack in _replayed_chains():
+        for i in range(20):
+            rng = RngStream(seed, 0).substream(1 + i)
+            challenge = gen_basis_challenge(spec, rng)
+            state, _ = apply_channel(challenge.quantum_payload, channel, rng)
+            live = ChainEngine(
+                spec.n,
+                state=state,
+                rng=rng,
+                ledger=EntanglementLedger(attack.reserved_epr(challenge)),
+            )
+            live_outers = []
+            for gate in attack._gates(challenge):
+                live.strip(gate)
+                live_outers.append(live.outer.tobytes())
+            replay = ChainEngine(
+                spec.n,
+                alice_sigmas=live.transcript.alice,
+                bob_sigmas=live.transcript.bob,
+            )
+            for step, gate in enumerate(attack._gates(challenge)):
+                replay.strip(gate)
+                assert replay.outer.tobytes() == live_outers[step], (name, i, step)
+
+
+@pytest.mark.parametrize("party", ["alice", "bob"])
+def test_replay_rejects_an_unread_correction(party):
+    layout = load_layout(CHAIN5)
+    spec = BasisGameSpec(2, "layout", layout=layout)
+    attack = LayoutAttack(layout)
+    rng = RngStream(5, 0).substream(1)
+    challenge = gen_basis_challenge(spec, rng)
+    state, lost = apply_channel(challenge.quantum_payload, ChannelModel(), rng)
+    trial = attack.new_trial(challenge, DeliveredPayload(state, lost), rng)
+    sigmas = {"alice": list(trial.alice["sigmas"]), "bob": list(trial.bob["sigmas"])}
+    chain = attack._gates(challenge)
+    decode_chain_answer(chain, 2, sigmas["alice"], sigmas["bob"], trial.bob["bits"])
+    sigmas[party].append(sigmas[party][0])
+    with pytest.raises(StrategyError, match="unread"):
+        decode_chain_answer(
+            chain, 2, sigmas["alice"], sigmas["bob"], trial.bob["bits"]
+        )

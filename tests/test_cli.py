@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from qpv.cli import main
-from qpv.experiment import canonical_json, strip_wall_clock
+from qpv.experiment import canonical_json
+
+from oracles import strip_wall_clock
 
 T_PAIR_CNOT = Path(__file__).parent / "layouts" / "t_pair_cnot.json"
 

@@ -16,9 +16,9 @@ from qpv.experiment import (
     parse_config,
     render_compare_table,
     run_experiment,
-    serialize_config,
-    strip_wall_clock,
 )
+
+from oracles import serialize_config, strip_wall_clock
 
 BASIS_TEXT = """\
 # a small clean run

@@ -38,7 +38,7 @@ from qpv.statevec import (
     qubit_phase_distances,
 )
 
-from oracles import single_gate_layout
+from oracles import noiseless, single_gate_layout
 
 
 def test_basis_spec_validation():
@@ -86,8 +86,8 @@ def test_ip_spec_and_channel_validation():
         IPGameSpec(2, 1, eta_err=-0.1)
     with pytest.raises(ValidationError):
         ChannelModel(p_loss=2.0)
-    assert ChannelModel().noiseless
-    assert not ChannelModel(p_dep=0.1).noiseless
+    assert noiseless(ChannelModel())
+    assert not noiseless(ChannelModel(p_dep=0.1))
 
 
 def test_basis_challenge_haar_payload(rng):

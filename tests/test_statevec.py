@@ -1,5 +1,7 @@
 """State vector layer: construction, gates, measurement, entangled pairs."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,12 +27,13 @@ from qpv.statevec import (
     haar_random_unitary,
     index_of_bits,
     measure_computational,
+    measure_register,
     move_qubit,
     phase_invariant_distance,
     qubit_phase_distances,
 )
 
-from oracles import partial_trace
+from oracles import apply_unitary_tensordot, partial_trace
 
 
 def test_state_vector_normalizes_and_validates():
@@ -87,6 +90,36 @@ def test_apply_unitary_matches_the_embedded_operator(placement, seed):
     assert np.max(np.abs(applied.amps - embedded)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_whole_register_unitary_keeps_the_tensordot_bits(n):
+    # the whole-register dot is the product tensordot makes, so every
+    # amplitude keeps its bits, for a C-ordered u, a transposed one (as the
+    # honest prover passes) and a strided view
+    rng = RngStream(31, n)
+    for _ in range(200):
+        state = haar_random_state(n, rng)
+        u = haar_random_unitary(2**n, rng)
+        wide = np.zeros((2**n, 2**(n + 1)), dtype=np.complex128)
+        wide[:, ::2] = u
+        for op in (u, u.conj().T, wide[:, ::2]):
+            applied = apply_unitary(state, op, range(n))
+            reference = apply_unitary_tensordot(state, op)
+            assert applied.amps.tobytes() == reference.amps.tobytes()
+
+
+def test_only_the_whole_register_in_order_skips_tensordot():
+    rng = RngStream(37, 0)
+    state = haar_random_state(2, rng)
+    u = haar_random_unitary(4, rng)
+    with mock.patch.object(np, "tensordot", wraps=np.tensordot) as tensordot:
+        apply_unitary(state, u, (0, 1))
+        assert tensordot.call_count == 0
+        swapped = apply_unitary(state, u, (1, 0))
+        assert tensordot.call_count == 1
+    embedded = embed_operator(u, (1, 0), 2) @ state.amps
+    assert np.max(np.abs(swapped.amps - embedded)) < 1e-12
+
+
 def test_apply_unitary_rejects_bad_targets():
     s = StateVector([1, 0, 0, 0])
     with pytest.raises(ValidationError):
@@ -104,7 +137,7 @@ def test_measure_computational_collapses():
 
 
 @pytest.mark.parametrize("seed", [5, 23])
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_measurement_outcomes_match_generator_choice(seed, k):
     # the Born marginal over the first k of 4 qubits, drawn the way
     # Generator.choice(2**k, p=marg) draws it
@@ -117,6 +150,20 @@ def test_measurement_outcomes_match_generator_choice(seed, k):
         want = int(ref.generator.choice(2**k, p=marg / marg.sum()))
         bits, _ = measure_computational(state, targets, live)
         assert index_of_bits(bits) == want
+    assert live.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [5, 23])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_register_draw_matches_the_computational_measurement(seed, n):
+    # the bits-only draw takes the same double and index as measuring every
+    # qubit with measure_computational, and leaves the stream where it does
+    states = RngStream(seed, 1)
+    live, ref = RngStream(seed, 2), RngStream(seed, 2)
+    for _ in range(300):
+        state = haar_random_state(n, states)
+        want, _ = measure_computational(state, range(n), ref)
+        assert measure_register(state, live) == want
     assert live.random() == ref.random()
 
 
