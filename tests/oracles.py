@@ -213,5 +213,4 @@ def apply_unitary_tensordot(state: StateVector, u: np.ndarray) -> StateVector:
         state.amps.reshape((2,) * n),
         axes=(tuple(range(n, 2 * n)), tuple(range(n))),
     )
-    t = np.moveaxis(t, tuple(range(n)), tuple(range(n)))
     return StateVector(t.reshape(-1))
