@@ -192,14 +192,14 @@ class CorrectionTranscript:
 @dataclass(frozen=True)
 class ChainGate:
     """One strip target: the register-wide `matrix` of a gate on `targets`,
-    which each burn teleports, owned by one party, with the burn budget
-    implied by its hierarchy level. When `level_checks` is set, the j-th
-    burn verifies its candidate operator sits within the j-th listed
-    hierarchy level (a per-round correctness check, live runs only)."""
+    which each burn teleports, with the burn budget implied by its hierarchy
+    level. Bob strips every gate: only V1 describes the rotation. When
+    `level_checks` is set, the j-th burn verifies its candidate operator
+    sits within the j-th listed hierarchy level (a per-round correctness
+    check, live runs only)."""
 
     matrix: np.ndarray
     targets: tuple[int, ...]
-    owner: str
     max_burns: int
     label: str = ""
     level_checks: tuple[int, ...] = ()
@@ -217,7 +217,8 @@ _BELL_CDF = (0.25, 0.5, 0.75, 1.0)
 class ChainEngine:
     """Realized-path simulator/replayer for teleportation-chain attacks.
 
-    Live and replay runs share one control flow and differ only in where a
+    `run(gates)` strips each gate in turn and leaves the register with Bob.
+    Live and replay runs share this control flow and differ only in where a
     hop's correction comes from. Live mode (state given) draws each
     correction as a Bell measurement of the sent qubit would, records it in
     the transcript and charges the ledger; the payload stays as delivered
@@ -282,8 +283,15 @@ class ChainEngine:
         if self.holder != party:
             self._hop(tuple(range(self.n)))
 
+    def run(self, gates: list[ChainGate]) -> ChainEngine:
+        """Strip every gate in order, then hand the register to Bob."""
+        for gate in gates:
+            self.strip(gate)
+        self.move_to(BOB)
+        return self
+
     def strip(self, gate: ChainGate):
-        """Owner applies the gate inverse, then exactly max_burns burn round
+        """Bob applies the gate inverse, then exactly max_burns burn round
         trips run to push the outer operator back into the Pauli group.
 
         The burn count is fixed by the declared level, not by the realized
@@ -294,7 +302,7 @@ class ChainEngine:
         declared level; a replay's operator is the live one bit for bit, so
         it would reach the same verdict and skips the check.
         """
-        self.move_to(gate.owner)
+        self.move_to(BOB)
         self.outer = gate.adjoint @ self.outer @ gate.matrix
         if self.live:
             self.inverse = gate.adjoint @ self.inverse
@@ -309,7 +317,7 @@ class ChainEngine:
 
     def _burn(self, targets: tuple[int, ...], level_check: int | None = None):
         self._hop(targets)
-        # candidate = sigma1 @ o_pre; the owner covers every possible value
+        # candidate = sigma1 @ o_pre; Bob covers every possible value
         # through the address-indexed bank, so acting with it is legitimate
         candidate = self.outer
         self._hop(targets)
@@ -339,31 +347,6 @@ class ChainEngine:
         return p
 
 
-def run_chain(
-    gates: list[ChainGate],
-    n: int,
-    *,
-    state: StateVector | None = None,
-    rng: RngStream | None = None,
-    ledger: EntanglementLedger | None = None,
-    alice_sigmas: list | None = None,
-    bob_sigmas: list | None = None,
-) -> ChainEngine:
-    """Run (or replay) a full strip chain and leave the register with Bob."""
-    engine = ChainEngine(
-        n,
-        state=state,
-        rng=rng,
-        ledger=ledger,
-        alice_sigmas=alice_sigmas,
-        bob_sigmas=bob_sigmas,
-    )
-    for gate in gates:
-        engine.strip(gate)
-    engine.move_to(BOB)
-    return engine
-
-
 def decode_chain_answer(
     gates: list[ChainGate],
     n: int,
@@ -374,7 +357,7 @@ def decode_chain_answer(
     """Replay the chain from the exchanged transcripts and undo the residue.
     Raises StrategyError if the replay leaves a correction unread or runs
     out of them."""
-    engine = run_chain(gates, n, alice_sigmas=alice_sigmas, bob_sigmas=bob_sigmas)
-    engine.transcript.check_read()
+    engine = ChainEngine(n, alice_sigmas=alice_sigmas, bob_sigmas=bob_sigmas)
+    engine.run(gates).transcript.check_read()
     residue = engine.decode_pauli()
     return np.bitwise_xor(measured, residue.x_bits).astype(np.uint8)

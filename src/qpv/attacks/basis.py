@@ -35,12 +35,11 @@ from ..protocols import BasisShare, Challenge, render_answer
 from ..rng import RngStream
 from ..statevec import QubitArray, embed_operator, measure_register
 from .base import (
-    BOB,
+    ChainEngine,
     ChainGate,
     CoalitionStrategy,
     TrialState,
     decode_chain_answer,
-    run_chain,
     with_fallback,
 )
 
@@ -81,12 +80,7 @@ class PauliAttack(CoalitionStrategy):
     def new_trial(self, challenge, delivered, rng) -> TrialState:
         _require_dense(challenge)
         trial = self.base_trial(challenge, delivered, rng)
-        states = delivered.states
-        if isinstance(states, QubitArray):
-            bits = states.measure_all(rng)
-        else:
-            bits = measure_register(states, rng)
-        trial.alice["bits"] = bits
+        trial.alice["bits"] = measure_register(delivered.states, rng)
         trial.alice["lost"] = delivered.lost
         share: BasisShare = challenge.v1_classical
         pauli = try_as_pauli(share.unitary)
@@ -117,13 +111,9 @@ class ChainAttack(CoalitionStrategy):
         self._check_challenge(challenge)
         trial = self.base_trial(challenge, delivered, rng)
         trial.alice["lost"] = delivered.lost
-        engine = run_chain(
-            self._gates(challenge),
-            challenge.n,
-            state=delivered.states,
-            rng=rng,
-            ledger=trial.ledger,
-        )
+        engine = ChainEngine(
+            challenge.n, state=delivered.states, rng=rng, ledger=trial.ledger
+        ).run(self._gates(challenge))
         trial.alice["sigmas"] = engine.transcript.alice
         trial.bob["sigmas"] = engine.transcript.bob
         trial.bob["bits"] = engine.measure()
@@ -159,7 +149,6 @@ class CliffordAttack(ChainAttack):
             ChainGate(
                 share.unitary,
                 tuple(range(challenge.n)),
-                BOB,
                 max_burns=0,
                 label="clifford",
             )
@@ -190,7 +179,6 @@ class TreeAttack(ChainAttack):
             ChainGate(
                 share.unitary,
                 tuple(range(challenge.n)),
-                BOB,
                 max_burns=k - 2,
                 label=f"tree:{k}",
                 level_checks=tuple(range(k - 1, 1, -1)),
@@ -265,7 +253,6 @@ class LayoutAttack(ChainAttack):
             ChainGate(
                 embed_operator(gate.gate, gate.targets, layout.n),
                 gate.targets,
-                BOB,
                 max_burns=gate.level - 2,
                 label=f"layer{index + 1}",
             )

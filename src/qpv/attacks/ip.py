@@ -43,12 +43,11 @@ from ..pauli import (
     CLIFFORD_XZ,
     PAULI_CLIFFORD,
     clifford_conjugation_table,
-    try_as_pauli,
 )
 from ..protocols import Challenge, IpShare, interleave, render_answer
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
-from ..statevec import haar_qubit_batch, phase_invariant_distance
+from ..statevec import haar_qubit_batch, qubit_phase_distances
 from ..teleport import build_pbt_channel
 from .base import (
     ALICE,
@@ -172,20 +171,22 @@ class _TableChain:
     The outer operator is an index into CLIFFORD_1Q: it is a Pauli before
     every letter, a letter (H, T or Tdg) conjugates it to a Clifford, and
     one burn brings it back to a Pauli, so every step is an exact integer
-    lookup. The product of everything applied equals frame @ W, where W is
-    the words' product (_words_product) times the exact opening strip, so
-    the final qubit is recovered without a per-letter matrix. Replay mode
-    reads the recorded corrections back and repeats the same control flow.
+    lookup. The opening strip (u_1 inverse, by Alice) acts before any hop,
+    while the outer operator is still the identity, so it leaves the index
+    alone. The product of everything applied equals frame @ W @ u_1^dag,
+    where W is the words' product (_words_product), so the final qubit is
+    recovered without a per-letter matrix. A live chain spends one pair of
+    `ledger` per hop; replay mode reads the recorded corrections back and
+    repeats the same control flow.
     """
 
-    def __init__(self, rng=None, alice=None, bob=None):
+    def __init__(self, rng=None, ledger=None, alice=None, bob=None):
         self.live = rng is not None
         self.rng = rng
+        self.ledger = ledger
         self.transcript = CorrectionTranscript(alice, bob)
         self.holder = ALICE
         self.outer = PAULI_CLIFFORD[(0, 0)]
-        self.moves = 0
-        self.burns = 0
 
     @property
     def frame(self) -> np.ndarray:
@@ -195,6 +196,7 @@ class _TableChain:
         sender = self.holder
         if self.live:
             xz = (int(self.rng.bits(1)[0]), int(self.rng.bits(1)[0]))
+            self.ledger.spend(1)
             self.transcript.record(sender, xz)
         else:
             xz = self.transcript.replay(sender)
@@ -204,14 +206,13 @@ class _TableChain:
     def move_to(self, party: str):
         if self.holder != party:
             self._hop()
-            self.moves += 1
 
-    def apply_exact(self, op: np.ndarray):
-        """Opening strip by the holder; the outer operator must stay Pauli."""
-        p = try_as_pauli(op @ self.frame @ op.conj().T)
-        if p is None:
-            raise StrategyError("exact strip left a non-Pauli outer operator")
-        self.outer = PAULI_CLIFFORD[(p.x_bits[0], p.z_bits[0])]
+    def run(self, u_letters, v_letters) -> _TableChain:
+        """Strip every compiled word in order, then hand the qubit to Bob."""
+        for letters, owner in _strip_order(u_letters, v_letters):
+            self.apply_word(letters, owner)
+        self.move_to(BOB)
+        return self
 
     def apply_word(self, letters, owner: str):
         """Apply the word's letters so their product multiplies the state."""
@@ -233,7 +234,6 @@ class _TableChain:
         candidate = self.outer
         self._hop()
         self.outer = CLIFFORD_MUL[CLIFFORD_INV[candidate]][self.outer]
-        self.burns += 1
         if CLIFFORD_XZ[self.outer] is None:
             raise StrategyError("burn failed to restore the Pauli invariant")
 
@@ -278,7 +278,7 @@ class SkAttack(CoalitionStrategy):
         words = []
         for i in range(factors.shape[0]):
             word = sk_decompose(factors[i].conj().T, self.depth, self.net)
-            err = phase_invariant_distance(word.unitary, factors[i].conj().T)
+            err = float(qubit_phase_distances(word.unitary, factors[i].conj().T))
             if err > budget:
                 raise StrategyError(
                     f"compiled {tag}_{i + 1} misses by {err:.4f} "
@@ -322,10 +322,9 @@ class SkAttack(CoalitionStrategy):
         for q in range(challenge.n):
             c = q if copies > 1 else 0
             opening = _share_factors(challenge.v0_classical, q)[0].conj().T
-            chain = _TableChain(rng=rng)
-            chain.apply_exact(opening)
-            _run_words(chain, u_letters[c], v_letters[c])
-            trial.ledger.spend(chain.moves + 2 * chain.burns)
+            chain = _TableChain(rng=rng, ledger=trial.ledger).run(
+                u_letters[c], v_letters[c]
+            )
             applied = chain.frame @ words_product[c] @ opening
             psi = applied @ delivered.states.qubit(q).amps
             p1 = float(np.abs(psi[1]) ** 2 / (np.abs(psi) ** 2).sum())
@@ -345,8 +344,7 @@ class SkAttack(CoalitionStrategy):
         for q in np.flatnonzero(~lost):
             c = q if len(u_letters) > 1 else 0
             chain = _TableChain(alice=alice["sigmas"][q], bob=bob["sigmas"][q])
-            _run_words(chain, u_letters[c], v_letters[c])
-            bits[q] ^= chain.residue_x()
+            bits[q] ^= chain.run(u_letters[c], v_letters[c]).residue_x()
         return render_answer(bits, lost)
 
 
@@ -357,13 +355,6 @@ def _strip_order(u_words, v_words):
             yield v_words[k // 2], BOB
         else:
             yield u_words[(k - 1) // 2], ALICE
-
-
-def _run_words(chain: _TableChain, u_letters, v_letters):
-    """Strip every compiled word in order, then hand the qubit to Bob."""
-    for letters, owner in _strip_order(u_letters, v_letters):
-        chain.apply_word(letters, owner)
-    chain.move_to(BOB)
 
 
 def _words_product(u_words, v_words) -> np.ndarray:

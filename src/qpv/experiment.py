@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .attacks import strategy_from_name
@@ -83,29 +83,15 @@ class ExperimentConfig:
     out: Optional[str] = None
 
     def as_dict(self) -> dict:
-        """The config's keys in canonical order, as the run record echoes
-        them: a key the game does not read, or an unset layout file, is
-        left out."""
-        d: dict = {"schema": SCHEMA_VERSION, "game": self.game, "n": self.n}
-        d["actor"] = self.actor
-        if self.game == "basis":
-            d["family"] = self.family
-            if self.layout_file is not None:
-                d["layout_file"] = self.layout_file
-            d["eta"] = self.eta
-        else:
-            d["t"] = self.t
-            d["eta_err"] = self.eta_err
-            d["eta_loss"] = self.eta_loss
-            d["per_qubit_unitaries"] = self.per_qubit_unitaries
-        d["p_loss"] = self.p_loss
-        d["p_dep"] = self.p_dep
-        d["bank"] = self.bank
-        d["trials"] = self.trials
-        d["seed"] = self.seed
-        d["threads"] = self.threads
-        if self.out is not None:
-            d["out"] = self.out
+        """The schema, then the config's fields in declaration order, as the
+        run record echoes them: the other game's keys (`_BASIS_ONLY` or
+        `_IP_ONLY`) and unset values are left out."""
+        other = _IP_ONLY if self.game == "basis" else _BASIS_ONLY
+        d: dict = {"schema": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in other and value is not None:
+                d[f.name] = value
         return d
 
 

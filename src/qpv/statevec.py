@@ -240,32 +240,15 @@ def move_qubit(state: StateVector, src: int, dst: int) -> StateVector:
     return StateVector(t.reshape(-1))
 
 
-def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phases of the spectral norm ||U - e^{i phi} V||.
-
-    Equals 2 sin(w/4) where w is the width of the smallest circular arc
-    containing the eigenphases of U^dag V.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    v = np.asarray(v, dtype=np.complex128)
-    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValidationError("operands must be square matrices of equal dimension")
-    ang = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
-    if ang.shape[0] == 1:
-        return 0.0
-    gaps = np.diff(ang)
-    largest = max(float(gaps.max()), float(ang[0] + 2.0 * np.pi - ang[-1]))
-    width = 2.0 * np.pi - largest
-    return float(2.0 * np.sin(width / 4.0))
-
-
 def qubit_phase_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """phase_invariant_distance of each pair of 2x2 unitaries in two stacks.
+    """min over phases of the spectral norm ||U - e^{i phi} V|| for each pair
+    of 2x2 unitaries in two stacks.
 
-    The eigenvalues of W = U^dag V differ by sqrt(disc), disc = (w00 - w11)^2
-    + 4 w01 w10, so their arc is w = 2 arcsin(|sqrt(disc)| / 2), with no
-    eigensolver. Unlike sqrt(2 - |tr W|), this keeps full precision as the
-    distance goes to 0.
+    The distance is 2 sin(w/4), w the width of the smallest circular arc
+    containing the eigenphases of W = U^dag V. Those eigenvalues differ by
+    sqrt(disc), disc = (w00 - w11)^2 + 4 w01 w10, so their arc is
+    w = 2 arcsin(|sqrt(disc)| / 2), with no eigensolver. Unlike
+    sqrt(2 - |tr W|), this keeps full precision as the distance goes to 0.
     """
     u = np.asarray(u, dtype=np.complex128)
     v = np.asarray(v, dtype=np.complex128)

@@ -9,7 +9,9 @@
   diagonal phase gates;
 - config and record helpers: canonical config text, a record without its
   wall clock, and whether a channel is noiseless;
-- the whole-register `apply_unitary` written through `tensordot`.
+- the whole-register `apply_unitary` written through `tensordot`;
+- the phase-invariant distance of any two square unitaries, through an
+  eigensolver.
 """
 
 from __future__ import annotations
@@ -214,3 +216,22 @@ def apply_unitary_tensordot(state: StateVector, u: np.ndarray) -> StateVector:
         axes=(tuple(range(n, 2 * n)), tuple(range(n))),
     )
     return StateVector(t.reshape(-1))
+
+
+def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """min over phases of the spectral norm ||U - e^{i phi} V||.
+
+    Equals 2 sin(w/4) where w is the width of the smallest circular arc
+    containing the eigenphases of U^dag V.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    v = np.asarray(v, dtype=np.complex128)
+    if u.shape != v.shape or u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError("operands must be square matrices of equal dimension")
+    ang = np.sort(np.angle(np.linalg.eigvals(u.conj().T @ v)))
+    if ang.shape[0] == 1:
+        return 0.0
+    gaps = np.diff(ang)
+    largest = max(float(gaps.max()), float(ang[0] + 2.0 * np.pi - ang[-1]))
+    width = 2.0 * np.pi - largest
+    return float(2.0 * np.sin(width / 4.0))

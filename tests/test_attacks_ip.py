@@ -15,7 +15,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
-from qpv.attacks.ip import _HOP_FAILED, _run_words, _share_factors
+from qpv.attacks.ip import _HOP_FAILED, _TableChain, _share_factors
 from qpv import sk as sk_module
 from qpv.costs import sk_cost
 from qpv.errors import StrategyError, ValidationError
@@ -341,9 +341,35 @@ def test_sk_answer_replays_each_arrived_qubit_once(sk1):
         state, lost = apply_channel(
             challenge.quantum_payload, ChannelModel(p_loss=0.3), rng
         )
-        with mock.patch("qpv.attacks.ip._run_words", wraps=_run_words) as run:
+        with mock.patch.object(
+            _TableChain, "run", autospec=True, side_effect=_TableChain.run
+        ) as run:
             sk1.run_trial(challenge, DeliveredPayload(state, lost), rng)
         # one live chain per qubit, then one replay per qubit that arrived
         assert run.call_count == spec.n + int((~lost).sum())
         kept += int((~lost).sum())
     assert 0 < kept < 3 * spec.n
+
+
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+@pytest.mark.parametrize("p_loss", [0.0, 0.3], ids=["clean", "lossy"])
+def test_sk_spends_one_pair_per_recorded_correction(sk1, p_loss, per_qubit):
+    # every hop of a live chain records one correction and spends one pair,
+    # lost qubits included: the chain runs before anyone learns of the loss
+    spec = IPGameSpec(4, 2, eta_err=0.6, per_qubit_unitaries=per_qubit)
+    channel = ChannelModel(p_loss=p_loss)
+
+    def payload(seed):
+        rng = RngStream(seed, 0)
+        challenge = gen_ip_challenge(spec, rng)
+        state, lost = apply_channel(challenge.quantum_payload, channel, rng)
+        return challenge, DeliveredPayload(state, lost), rng
+
+    lost = 0
+    for seed in range(3):
+        trial = sk1.new_trial(*payload(seed))
+        hops = sum(map(len, trial.alice["sigmas"] + trial.bob["sigmas"]))
+        assert hops > 0
+        assert sk1.run_trial(*payload(seed)).epr_consumed == hops
+        lost += int(trial.alice["lost"].sum())
+    assert (lost > 0) == (p_loss > 0)

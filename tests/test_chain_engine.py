@@ -25,7 +25,6 @@ from qpv.attacks.base import (
     CorrectionTranscript,
     EntanglementLedger,
     decode_chain_answer,
-    run_chain,
 )
 from qpv.errors import StrategyError
 from qpv.layout import CircuitLayout, LayoutGate, load_layout
@@ -78,7 +77,7 @@ class PhysicalChainEngine:
             self._hop(tuple(range(self.n)))
 
     def strip(self, gate):
-        self.move_to(gate.owner)
+        self.move_to(BOB)
         g = gate.matrix
         self._apply(g.conj().T)
         self.outer = g.conj().T @ self.outer @ g
@@ -179,9 +178,9 @@ def test_chain_engine_matches_the_physical_engine(game, seed, p_loss, p_dep):
     with mock.patch.object(
         ChainEngine, "_burn", autospec=True, side_effect=ChainEngine._burn
     ) as burn:
-        engine = run_chain(
-            chain, n, state=delivered, rng=RngStream(seed, 3), ledger=ledger
-        )
+        engine = ChainEngine(
+            n, state=delivered, rng=RngStream(seed, 3), ledger=ledger
+        ).run(chain)
     bits = engine.measure()
 
     assert engine.transcript.alice == oracle.transcript.alice

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpv import gates
-from qpv.attacks.base import ALICE, BOB, CorrectionTranscript
-from qpv.attacks.ip import _LETTER_CONJ, _TableChain, _run_words, _words_product
+from qpv.attacks.base import ALICE, BOB, CorrectionTranscript, EntanglementLedger
+from qpv.attacks.ip import _LETTER_CONJ, _TableChain, _strip_order, _words_product
 from qpv.errors import StrategyError
 from qpv.pauli import (
     CLIFFORD_1Q,
@@ -27,7 +27,9 @@ from qpv.pauli import (
 )
 from qpv.rng import RngStream
 from qpv.sk import LETTER_MATRICES, GateWord
-from qpv.statevec import haar_random_unitary, phase_invariant_distance
+from qpv.statevec import haar_random_unitary
+
+from oracles import phase_invariant_distance
 
 
 # X^x Z^z for each (x, z), the dense matrices the oracle chain multiplies
@@ -149,6 +151,11 @@ class DenseChain:
         self.applied = op @ self.applied
         assert self._snap()
 
+    def run(self, u_letters, v_letters):
+        for letters, owner in _strip_order(u_letters, v_letters):
+            self.apply_word(letters, owner)
+        self.move_to(BOB)
+
     def apply_word(self, letters, owner):
         self.move_to(owner)
         for letter in reversed(letters):
@@ -188,12 +195,14 @@ def test_table_chain_matches_the_dense_chain(t, data, seed):
 
     dense = DenseChain(rng=RngStream(seed, 0))
     dense.apply_exact(opening)
-    _run_words(dense, u_letters, v_letters)
-    table = _TableChain(rng=RngStream(seed, 0))
-    table.apply_exact(opening)
-    _run_words(table, u_letters, v_letters)
+    dense.run(u_letters, v_letters)
+    # one pair per hop: every move is one hop and every burn two
+    hops = dense.moves + 2 * dense.burns
+    ledger = EntanglementLedger(hops)
+    table = _TableChain(rng=RngStream(seed, 0), ledger=ledger)
+    table.run(u_letters, v_letters)
 
-    assert (table.moves, table.burns) == (dense.moves, dense.burns)
+    assert ledger.consumed == hops
     assert table.transcript.alice == dense.alice
     assert table.transcript.bob == dense.bob
     residue = try_as_pauli(dense.outer)
@@ -202,5 +211,5 @@ def test_table_chain_matches_the_dense_chain(t, data, seed):
     assert equal_up_to_phase(applied, dense.applied)
 
     replay = _TableChain(alice=dense.alice, bob=dense.bob)
-    _run_words(replay, u_letters, v_letters)
+    replay.run(u_letters, v_letters)
     assert replay.residue_x() == residue.x_bits[0]

@@ -66,6 +66,52 @@ def test_parse_defaults_fill_in():
 MINI = "game = basis\nn = 4\nactor = honest\n"
 
 
+# each config's record echo, key by key in order
+AS_DICT_CASES = [
+    (
+        ExperimentConfig(
+            "basis", 2, "layout:x.json", family="layout", layout_file="x.json",
+            eta=0.1, p_loss=0.2, trials=50, seed=7, out="res.json",
+        ),
+        [
+            ("schema", 1), ("game", "basis"), ("n", 2), ("actor", "layout:x.json"),
+            ("family", "layout"), ("layout_file", "x.json"), ("eta", 0.1),
+            ("p_loss", 0.2), ("p_dep", 0.0), ("bank", False), ("trials", 50),
+            ("seed", 7), ("threads", 0), ("out", "res.json"),
+        ],
+    ),
+    (
+        ExperimentConfig("basis", 3, "clifford", family="clifford"),
+        [
+            ("schema", 1), ("game", "basis"), ("n", 3), ("actor", "clifford"),
+            ("family", "clifford"), ("eta", 0.0), ("p_loss", 0.0), ("p_dep", 0.0),
+            ("bank", False), ("trials", 1000), ("seed", 0), ("threads", 0),
+        ],
+    ),
+    (
+        ExperimentConfig(
+            "ip", 4, "sk:1", t=2, eta_err=0.3, eta_loss=0.1,
+            per_qubit_unitaries=True, p_dep=0.05, bank=True, threads=2,
+        ),
+        [
+            ("schema", 1), ("game", "ip"), ("n", 4), ("actor", "sk:1"), ("t", 2),
+            ("eta_err", 0.3), ("eta_loss", 0.1), ("per_qubit_unitaries", True),
+            ("p_loss", 0.0), ("p_dep", 0.05), ("bank", True), ("trials", 1000),
+            ("seed", 0), ("threads", 2),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, items", AS_DICT_CASES, ids=["layout-with-out", "basis", "ip"]
+)
+def test_as_dict_keeps_its_keys_order_and_values(config, items):
+    echo = config.as_dict()
+    assert list(echo.items()) == items
+    assert [type(value) for value in echo.values()] == [type(v) for _, v in items]
+
+
 @pytest.mark.parametrize(
     "line,complaint",
     [

@@ -34,11 +34,10 @@ from qpv.statevec import (
     QubitArray,
     StateVector,
     haar_qubit_batch,
-    phase_invariant_distance,
     qubit_phase_distances,
 )
 
-from oracles import noiseless, single_gate_layout
+from oracles import noiseless, phase_invariant_distance, single_gate_layout
 
 
 def test_basis_spec_validation():

@@ -29,11 +29,10 @@ from qpv.statevec import (
     measure_computational,
     measure_register,
     move_qubit,
-    phase_invariant_distance,
     qubit_phase_distances,
 )
 
-from oracles import apply_unitary_tensordot, partial_trace
+from oracles import apply_unitary_tensordot, partial_trace, phase_invariant_distance
 
 
 def test_state_vector_normalizes_and_validates():
