@@ -195,7 +195,7 @@ class _TableChain:
     def _hop(self):
         sender = self.holder
         if self.live:
-            xz = (int(self.rng.bits(1)[0]), int(self.rng.bits(1)[0]))
+            xz = tuple(self.rng.bits(2).tolist())
             self.ledger.spend(1)
             self.transcript.record(sender, xz)
         else:
@@ -318,6 +318,7 @@ class SkAttack(CoalitionStrategy):
 
         alice_sigmas = []
         bob_sigmas = []
+        amps = delivered.states.amps
         bits = np.zeros(challenge.n, dtype=np.uint8)
         for q in range(challenge.n):
             c = q if copies > 1 else 0
@@ -326,7 +327,7 @@ class SkAttack(CoalitionStrategy):
                 u_letters[c], v_letters[c]
             )
             applied = chain.frame @ words_product[c] @ opening
-            psi = applied @ delivered.states.qubit(q).amps
+            psi = applied @ amps[q]
             p1 = float(np.abs(psi[1]) ** 2 / (np.abs(psi) ** 2).sum())
             bits[q] = rng.random() < p1
             alice_sigmas.append(tuple(chain.transcript.alice))

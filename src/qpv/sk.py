@@ -24,9 +24,14 @@ then evaluated on the chosen entry alone. The recursion for a target at depth
 d computes its words at every depth below d on the way, and calibration reads
 that whole spine once per target instead of recompiling each depth.
 
-The net itself is enumerated one word length at a time: each level is one
-stacked matrix product and one vectorised dedup key, so its cost is a handful
-of numpy calls per level rather than a few per word.
+The net is one (N, 2, 2) matrix stack, read-only, plus two small integer
+tables: each entry's parent (the entry its word extends by one letter) and
+that last letter. It is enumerated one word length at a time: each level is
+one stacked matrix product, one vectorised dedup key and one array test of
+the inverse-letter rule, and only the surviving candidates meet a Python set.
+No entry holds a word or an array of its own; a lookup spells the chosen
+entry's letters by walking its parents back to the root, at most base-length
+steps, and its GateWord's unitary is that entry's row of the stack.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ from .statevec import haar_random_unitary
 
 LETTER_MATRICES = {"I": I2, "H": H, "T": T, "Tdg": TDG}
 _INVERSE_LETTER = {"I": "I", "H": "H", "T": "Tdg", "Tdg": "T"}
+# the net's letters, by code; the root entry's last letter is -1
+_NET_LETTERS = ("H", "T", "Tdg")
+_INVERSE_CODE = np.array([_NET_LETTERS.index(_INVERSE_LETTER[g]) for g in _NET_LETTERS])
 
 # fixed internal seed: nets must be identical across processes for the
 # determinism contract, independent of any experiment seed
@@ -209,32 +217,46 @@ class SkCalibration:
 class EpsilonNet:
     """All distinct products of H/T/Tdg words up to a base length.
 
-    entries pair each GateWord with its unitary. A lookup strips the target's
-    phase and takes the entry whose quaternion has the largest |dot product|
-    with the target's, against the entries' quaternions stacked once here;
-    nearest then evaluates the phase-invariant distance on that entry only,
-    and nearest_word skips it. covering_radius is the largest nearest-entry
-    distance seen over a Haar sample, and radius_bound adds a safety margin
-    on top so fresh targets stay inside it. build_net gives a default net
-    its pinned radius and calibration; any other net samples the radius at
-    build time and calibrates on first use.
+    The entries are the rows of one read-only (N, 2, 2) stack; entry i's word
+    is entry parents[i]'s word followed by the letter coded last_letters[i]
+    (row 0 is the empty word). word(i) spells it by walking the parents, and
+    its GateWord's unitary is row i of the stack, not a copy. A lookup strips
+    the target's phase and takes the entry whose quaternion has the largest
+    |dot product| with the target's, against the entries' quaternions stacked
+    once here; nearest then evaluates the phase-invariant distance on that
+    entry only, and nearest_word skips it. covering_radius is the largest
+    nearest-entry distance seen over a Haar sample, and radius_bound adds a
+    safety margin on top so fresh targets stay inside it. build_net gives a
+    default net its pinned radius and calibration; any other net samples the
+    radius at build time and calibrates on first use.
     """
 
-    def __init__(self, entries, base_length, covering_radius):
-        self.entries = entries
+    def __init__(self, stack, parents, last_letters, base_length, covering_radius):
+        stack.flags.writeable = False
+        self._stack = stack
+        self._parents = parents.tolist()
+        self._last_letters = last_letters.tolist()
         self.base_length = base_length
         self.covering_radius = covering_radius
         self.radius_bound = _RADIUS_MARGIN * covering_radius
-        self._stack = np.stack([u for (_, u) in entries])
-        dets = self._stack[:, 0, 0] * self._stack[:, 1, 1] - self._stack[:, 0, 1] * self._stack[:, 1, 0]
+        dets = stack[:, 0, 0] * stack[:, 1, 1] - stack[:, 0, 1] * stack[:, 1, 0]
         self._det_phase = np.angle(dets)
-        stripped = self._stack * np.exp(-0.5j * self._det_phase)[:, None, None]
+        stripped = stack * np.exp(-0.5j * self._det_phase)[:, None, None]
         # (4, N): a vector-matrix product over rows is faster than (N, 4) @ q
         self._quaternions = np.ascontiguousarray(_quaternion(stripped).T)
         self._calibration: SkCalibration | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._stack)
+
+    def word(self, index: int) -> GateWord:
+        """Entry index's word, spelled back to front along its parents."""
+        letters = []
+        i = index
+        while i:
+            letters.append(_NET_LETTERS[self._last_letters[i]])
+            i = self._parents[i]
+        return GateWord(tuple(reversed(letters)), self._stack[index])
 
     def _nearest_index(self, u: np.ndarray) -> int:
         u = np.asarray(u, dtype=np.complex128)
@@ -251,12 +273,12 @@ class EpsilonNet:
         return int(best[np.argmin(dist)])
 
     def nearest_word(self, u: np.ndarray) -> GateWord:
-        return self.entries[self._nearest_index(u)][0]
+        return self.word(self._nearest_index(u))
 
     def nearest(self, u: np.ndarray) -> tuple[GateWord, float]:
         idx = self._nearest_index(u)
         dist = _stack_distances(u, self._stack[idx : idx + 1], self._det_phase[idx : idx + 1])
-        return self.entries[idx][0], float(dist[0])
+        return self.word(idx), float(dist[0])
 
     @property
     def calibration(self) -> SkCalibration:
@@ -279,51 +301,55 @@ def build_net(l0: int, rng: RngStream | None = None, radius_samples: int = 1000)
 
     Words are built one length at a time: the level's candidates are one
     stacked product of the last level's admitted matrices with each letter,
-    keyed together by _canonical_keys, and admitted in word-then-letter order.
-    A default net (no rng, a pinned l0 and sample count) takes its covering
-    radius and calibration from _PINNED; any other samples its radius on
-    radius_samples Haar targets and calibrates on first use.
+    keyed together by _canonical_keys. One array test against the last
+    level's final letters drops the candidates that would cancel a letter;
+    the rest are admitted in word-then-letter order unless their key was
+    seen before. Each level keeps its admitted rows as one array with their
+    parent indices and letter codes, and the levels are joined once at the
+    end into the net's stack and tables. A default net (no rng, a pinned l0
+    and sample count) takes its covering radius and calibration from
+    _PINNED; any other samples its radius on radius_samples Haar targets
+    and calibrates on first use.
     """
     if l0 < 1:
         raise ValidationError("base length must be at least 1")
     if l0 > 16:
         raise ResourceError("base length above 16 is past desk scale")
 
-    letters_of = ("H", "T", "Tdg")
-    words: list[tuple[str, ...]] = [()]
     frontier = np.eye(2, dtype=np.complex128)[None]
-    seen = {_canonical_keys(frontier): None}
-    entries = [(GateWord((), matrix), matrix) for matrix in frontier]
+    frontier_last = np.array([-1])
+    seen = {_canonical_keys(frontier)}
+    levels, parents, last_letters = [frontier], [np.array([0])], [frontier_last]
+    offset = 0
     for _ in range(l0):
         # row 3f + k is frontier word f followed by letter k, the serial order
-        cands = np.stack([frontier @ LETTER_MATRICES[g] for g in letters_of], axis=1).reshape(-1, 2, 2)
+        cands = np.stack([frontier @ LETTER_MATRICES[g] for g in _NET_LETTERS], axis=1).reshape(-1, 2, 2)
         keys = _canonical_keys(cands)
         keep: list[int] = []
-        nxt: list[tuple[str, ...]] = []
-        for j in range(len(cands)):
-            letters = words[j // 3]
-            letter = letters_of[j % 3]
-            if letters and _INVERSE_LETTER[letters[-1]] == letter:
-                continue
+        # letter k cannot follow a word that ends in its inverse
+        for j in np.flatnonzero(frontier_last[:, None] != _INVERSE_CODE).tolist():
             key = keys[_KEY_BYTES * j : _KEY_BYTES * (j + 1)]
-            if key in seen:
-                continue
-            seen[key] = None
-            keep.append(j)
-            nxt.append(letters + (letter,))
-        # a copy, so the entries do not keep the rejected candidates alive
-        frontier = cands[np.array(keep, dtype=np.intp)]
-        words = nxt
-        for letters, matrix in zip(words, frontier):
-            entries.append((GateWord(letters, matrix), matrix))
+            if key not in seen:
+                seen.add(key)
+                keep.append(j)
+        rows = np.array(keep, dtype=np.intp)
+        parents.append(offset + rows // 3)
+        offset += len(frontier)
+        # a copy, so the net does not keep the rejected candidates alive
+        frontier = cands[rows]
+        frontier_last = rows % 3
+        levels.append(frontier)
+        last_letters.append(frontier_last)
+    stack = np.concatenate(levels)
+    parents, last_letters = np.concatenate(parents), np.concatenate(last_letters)
 
     key = (l0, _NET_SEED, radius_samples, _CALIBRATION_SAMPLES)
     if rng is None and key in _PINNED:
         radius, bound, constant = (float.fromhex(h) for h in _PINNED[key])
-        net = EpsilonNet(entries, l0, radius)
+        net = EpsilonNet(stack, parents, last_letters, l0, radius)
         net._calibration = SkCalibration(bound, constant, _CALIBRATION_SAMPLES)
         return net
-    net = EpsilonNet(entries, l0, 0.0)
+    net = EpsilonNet(stack, parents, last_letters, l0, 0.0)
     if rng is None:
         rng = RngStream(_NET_SEED, 0)
     worst = _sample_covering_radius(net, rng, radius_samples)

@@ -387,9 +387,6 @@ class QubitArray:
             raise ValidationError("expected an (n, 2, 2) stack")
         return QubitArray._unit_rows(np.einsum("qij,qj->qi", us, self.amps))
 
-    def qubit(self, i: int) -> StateVector:
-        return StateVector(self.amps[i])
-
     def measure_all(self, rng: RngStream) -> np.ndarray:
         """Computational measurement of every qubit, vectorized; returns bits."""
         p1 = np.abs(self.amps[:, 1]) ** 2

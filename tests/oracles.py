@@ -11,7 +11,8 @@
   wall clock, and whether a channel is noiseless;
 - the whole-register `apply_unitary` written through `tensordot`;
 - the phase-invariant distance of any two square unitaries, through an
-  eigensolver.
+  eigensolver;
+- one qubit of a product-state array as a norm-checked state vector.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from qpv.pauli import ATOL, PauliOperator, phaseless_paulis, try_as_pauli
 from qpv.protocols import ChannelModel
 from qpv.rng import RngStream
 from qpv.sk import EpsilonNet, _check_depth, _spine, su2_distance, to_su2
-from qpv.statevec import DensityMatrix, StateVector, _check_targets, haar_random_unitary
+from qpv.statevec import (
+    DensityMatrix,
+    QubitArray,
+    StateVector,
+    _check_targets,
+    haar_random_unitary,
+)
 
 
 def zero_state(n: int) -> StateVector:
@@ -235,3 +242,8 @@ def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
     largest = max(float(gaps.max()), float(ang[0] + 2.0 * np.pi - ang[-1]))
     width = 2.0 * np.pi - largest
     return float(2.0 * np.sin(width / 4.0))
+
+
+def qubit(array: QubitArray, i: int) -> StateVector:
+    """Qubit i of a product-state array, norm-checked as its own state."""
+    return StateVector(array.amps[i])

@@ -15,6 +15,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
+from qpv.attacks.base import EntanglementLedger
 from qpv.attacks.ip import _HOP_FAILED, _TableChain, _share_factors
 from qpv import sk as sk_module
 from qpv.costs import sk_cost
@@ -373,3 +374,24 @@ def test_sk_spends_one_pair_per_recorded_correction(sk1, p_loss, per_qubit):
         assert sk1.run_trial(*payload(seed)).epr_consumed == hops
         lost += int(trial.alice["lost"].sum())
     assert (lost > 0) == (p_loss > 0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 23, 83, 2**40 + 7])
+def test_table_chain_hop_draws_what_two_single_bits_draw(seed):
+    # a hop's one bits(2) gives the (x, z) that two bits(1) calls give and
+    # leaves the stream where they leave it, other draws interleaved
+    rng, twin = RngStream(seed, 3), RngStream(seed, 3)
+    chain = _TableChain(rng=rng, ledger=EntanglementLedger(12))
+    want = []
+    for k in range(12):
+        chain._hop()
+        want.append((int(twin.bits(1)[0]), int(twin.bits(1)[0])))
+        if k % 3 == 0:
+            assert rng.random() == twin.random()
+        elif k % 3 == 1:
+            assert rng.integers(0, 7, size=3).tolist() == twin.integers(0, 7, size=3).tolist()
+    # hops alternate senders, Alice first
+    assert chain.transcript.alice == want[0::2]
+    assert chain.transcript.bob == want[1::2]
+    assert len(set(want)) > 1
+    assert rng.random() == twin.random()

@@ -37,7 +37,7 @@ from qpv.statevec import (
     qubit_phase_distances,
 )
 
-from oracles import noiseless, phase_invariant_distance, single_gate_layout
+from oracles import noiseless, phase_invariant_distance, qubit, single_gate_layout
 
 
 def test_basis_spec_validation():
@@ -113,9 +113,9 @@ def test_basis_challenge_bb84_uses_letters(rng):
     letters = challenge.v1_classical.letters
     assert len(letters) == 4 and set(letters) <= {"I", "H"}
     for q, letter in enumerate(letters):
-        qubit = challenge.quantum_payload.qubit(q).amps
+        amps = qubit(challenge.quantum_payload, q).amps
         column = (gates.H if letter == "H" else gates.I2)[:, challenge.secret.x[q]]
-        assert np.allclose(qubit, column)
+        assert np.allclose(amps, column)
 
 
 def test_basis_challenge_explicit_and_layout(rng):
@@ -138,7 +138,7 @@ def test_ip_challenge_product_closes(rng):
     assert phase_invariant_distance(rebuilt, challenge.secret.unitary[0]) < 1e-9
     for q in range(3):
         column = challenge.secret.unitary[0][:, challenge.secret.x[q]]
-        assert np.allclose(challenge.quantum_payload.qubit(q).amps, column)
+        assert np.allclose(qubit(challenge.quantum_payload, q).amps, column)
 
 
 def test_ip_challenge_per_qubit_unitaries(rng):

@@ -115,14 +115,28 @@ def _serial_entries(l0):
     return entries
 
 
+def net_words(net):
+    return [net.word(i) for i in range(len(net))]
+
+
 @pytest.mark.parametrize("l0", range(1, 15))
 def test_net_entries_match_the_serial_enumeration(l0):
     net = build_net(l0, radius_samples=1)
     want = _serial_entries(l0)
-    assert [w.letters for w, _ in net.entries] == [letters for letters, _ in want]
-    for (word, matrix), (_, want_matrix) in zip(net.entries, want):
-        assert word.unitary is matrix
-        assert matrix.tobytes() == want_matrix.tobytes()
+    words = net_words(net)
+    assert [w.letters for w in words] == [letters for letters, _ in want]
+    for word, (_, want_matrix) in zip(words, want):
+        assert word.unitary.tobytes() == want_matrix.tobytes()
+
+
+def test_net_words_share_the_read_only_stack(net10):
+    u = haar_random_unitary(2, RngStream(19, 0))
+    for word in (net10.word(len(net10) - 1), net10.nearest_word(u), net10.nearest(u)[0]):
+        assert np.shares_memory(word.unitary, net10._stack)
+        with pytest.raises(ValueError, match="read-only"):
+            word.unitary[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        net10._stack[0] = gates.H
 
 
 # sha256 over every entry's letters and matrix bytes, in net order, measured
@@ -138,8 +152,8 @@ NET_ENTRIES_SHA256 = {
 def test_net_entries_match_their_frozen_digest(l0):
     net = build_net(l0)
     digest = hashlib.sha256()
-    for word, matrix in net.entries:
-        digest.update(" ".join(word.letters).encode() + b"|" + matrix.tobytes())
+    for word in net_words(net):
+        digest.update(" ".join(word.letters).encode() + b"|" + word.unitary.tobytes())
     assert (digest.hexdigest(), len(net)) == NET_ENTRIES_SHA256[l0]
 
 
@@ -161,15 +175,20 @@ def oracle_nearest(net, u):
     chi = np.arccos(cos_chi)
     dist = 2.0 * np.sin(np.minimum(chi, np.pi - chi) / 2.0)
     idx = int(np.argmin(dist))
-    return net.entries[idx][0], float(dist[idx])
+    return net.word(idx), float(dist[idx])
+
+
+def assert_same_word(got, want):
+    assert got.letters == want.letters
+    assert got.unitary.tobytes() == want.unitary.tobytes()
 
 
 def assert_matches_oracle(net, u):
     want_word, want_dist = oracle_nearest(net, u)
     word, dist = net.nearest(u)
-    assert word is want_word
+    assert_same_word(word, want_word)
     assert dist.hex() == want_dist.hex()
-    assert net.nearest_word(u) is want_word
+    assert_same_word(net.nearest_word(u), want_word)
 
 
 def rotation(axis, angle, phase):
@@ -194,8 +213,8 @@ def test_nearest_matches_the_whole_stack_oracle(net10, u):
 
 
 def test_nearest_matches_the_oracle_on_every_entry(net10):
-    for _, matrix in net10.entries:
-        assert_matches_oracle(net10, matrix)
+    for word in net_words(net10):
+        assert_matches_oracle(net10, word.unitary)
 
 
 def _threshold_matrix(a, flip_rows):
