@@ -30,8 +30,6 @@ pre-agreed random bits (`with_fallback`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..costs import pbt_cost, sk_cost
@@ -44,7 +42,7 @@ from ..pauli import (
     PAULI_CLIFFORD,
     clifford_conjugation_table,
 )
-from ..protocols import Challenge, IpShare, interleave, render_answer
+from ..protocols import Challenge, IpShare, interleave, largest_strict_count, render_answer
 from ..rng import RngStream
 from ..sk import LETTER_MATRICES, build_net, pad_to_length, sk_decompose
 from ..statevec import haar_qubit_batch, qubit_phase_distances
@@ -345,7 +343,8 @@ class SkAttack(CoalitionStrategy):
         for q in np.flatnonzero(~lost):
             c = q if len(u_letters) > 1 else 0
             chain = _TableChain(alice=alice["sigmas"][q], bob=bob["sigmas"][q])
-            bits[q] ^= chain.run(u_letters[c], v_letters[c]).residue_x()
+            chain.run(u_letters[c], v_letters[c]).transcript.check_read()
+            bits[q] ^= chain.residue_x()
         return render_answer(bits, lost)
 
 
@@ -418,8 +417,9 @@ def _guess_bits(bases, outcomes, u_share, v_share, n) -> np.ndarray:
 class LossyConfidenceAttack(RandomBasisAttack):
     """Random-basis measurement that converts the loss allowance into empties.
 
-    The declared-loss clause is strict, so the attack declares one fewer
-    empty answer than the threshold allows. Channel-lost positions are
+    The loss budget is largest_strict_count(eta_loss * n), the most empties
+    verify_ip's strict loss clause accepts, also where eta_loss * n rounds
+    just above an integer (0.28 * 25). Channel-lost positions are
     hopeless anyway and use the allowance first; the rest of the budget is
     spent on a pre-agreed random subset, independent of the realized
     guesses, so the answered positions keep the bare 1/4 error rate and
@@ -446,6 +446,6 @@ class LossyConfidenceAttack(RandomBasisAttack):
 
     def _render(self, trial, guess, lost) -> str:
         n = trial.challenge.n
-        budget = max(0, math.ceil(trial.challenge.spec.eta_loss * n) - 1)
+        budget = largest_strict_count(trial.challenge.spec.eta_loss * n)
         drop = self._drop_mask(trial, lost, budget)
         return render_answer(with_fallback(trial, guess, lost & ~drop), drop)

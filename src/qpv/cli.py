@@ -5,9 +5,11 @@ sk-compile (single-qubit gate to an H/T/Tdg word), pbt-bench (port-based
 teleportation fidelity), compare (result record against a cost record), and
 plot (flatten records into CSV columns).
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 a bound check
-failed. Every failure prints exactly one stderr line of the form
-`error=<Class>: message` so scripts can branch on the class.
+Exit codes: 0 success, 1 usage error, 2 validation error or an OS error
+(such as an unwritable --out path), 3 a bound check failed. Every failure
+prints exactly one stderr line of the form `error=<Class>: message` so
+scripts can branch on the class. CSV output quotes a field that holds a
+comma or a quote, such as the actor pbt:4,4,4 or a list of letters.
 """
 
 from __future__ import annotations
@@ -37,16 +39,17 @@ from .experiment import (
     canonical_json,
     check_seed_and_trials,
     compare_bounds,
+    csv_text,
     emit_plot_data,
-    format_value,
     parse_config,
     render_compare_table,
     run_experiment,
 )
 from .gates import GATES
-from .layout import load_layout
+from .layout import load_layout, matrix_from_pairs, read_json, read_text
 from .rng import RngStream
 from .sk import build_net, sk_decompose, su2_distance, to_su2
+from .statevec import check_unitary
 from .teleport import build_pbt_channel, pbt_fidelity_curve
 
 
@@ -106,20 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
-def _read_json(path: str) -> dict:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-
-
 def _deliver(text: str, out: Optional[str]):
     if out is None:
         sys.stdout.write(text)
@@ -140,19 +129,15 @@ def _flatten(record: dict, prefix: str = "") -> list[tuple[str, object]]:
     return rows
 
 
-def _flat_csv(record: dict) -> str:
-    lines = ["key,value"]
-    for path, value in _flatten(record):
-        lines.append(f"{path},{format_value(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _emit_record(record: dict, fmt: str, out: Optional[str]):
-    _deliver(canonical_json(record) if fmt == "json" else _flat_csv(record), out)
+    if fmt == "json":
+        _deliver(canonical_json(record), out)
+    else:
+        _deliver(csv_text([("key", "value"), *_flatten(record)]), out)
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(_read_text(args.config))
+    config = parse_config(read_text(args.config))
     config = apply_overrides(config, seed=args.seed, trials=args.trials, out=args.out)
     payload = run_experiment(config)
     body = canonical_json(payload.record) if args.format == "json" else payload.trial_csv
@@ -193,8 +178,15 @@ def _take_ports(params: dict, formula: str) -> tuple[int, ...]:
         raise ValidationError(f"parameter 'ports' expects integers, got {raw!r}") from None
 
 
-def _cost_record(formula: str, params: dict[str, str]) -> dict:
-    echo = dict(params)
+def _cost_fields(formula: str, params: dict[str, str]) -> dict:
+    """The record fields of one formula, popping each parameter it reads."""
+    if formula == "pbt-fidelity":
+        bound = pbt_fidelity_bound(_take_ports(params, formula))
+        return {
+            "formula_id": formula,
+            "fidelity_bound": bound.value,
+            "vacuous": bound.vacuous,
+        }
     if formula == "pauli":
         report = pauli_cost(_take_int(params, "n", formula))
     elif formula == "clifford":
@@ -216,34 +208,23 @@ def _cost_record(formula: str, params: dict[str, str]) -> dict:
                 f"parameter 'semi_clifford' expects true or false, got {semi!r}"
             )
         report = sk_cost(t, l, semi_clifford=semi == "true")
-    elif formula == "pbt-fidelity":
-        bound = pbt_fidelity_bound(_take_ports(params, formula))
-        if params:
-            raise ValidationError(
-                f"unknown parameters for formula {formula!r}: {', '.join(sorted(params))}"
-            )
-        return {
-            "artifact_version": ARTIFACT_VERSION,
-            "kind": "cost",
-            "formula_id": "pbt-fidelity",
-            "fidelity_bound": bound.value,
-            "vacuous": bound.vacuous,
-            "params": echo,
-        }
     else:
         raise ValidationError(f"unknown cost formula {formula!r}")
+    return {
+        "formula_id": report.formula_id,
+        "reserved_epr": report.reserved_epr,
+        "bound_epr": report.bound_epr,
+    }
+
+
+def _cost_record(formula: str, params: dict[str, str]) -> dict:
+    echo = dict(params)
+    fields = _cost_fields(formula, params)
     if params:
         raise ValidationError(
             f"unknown parameters for formula {formula!r}: {', '.join(sorted(params))}"
         )
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "kind": "cost",
-        "formula_id": report.formula_id,
-        "reserved_epr": report.reserved_epr,
-        "bound_epr": report.bound_epr,
-        "params": echo,
-    }
+    return {"artifact_version": ARTIFACT_VERSION, "kind": "cost", **fields, "params": echo}
 
 
 def _cmd_cost(args) -> int:
@@ -264,20 +245,10 @@ def _load_unitary(source: str) -> tuple[np.ndarray, str]:
         raise ValidationError(
             f"{source!r} is neither a known gate ({known}) nor a readable file"
         )
-    data = _read_json(source)
-    try:
-        matrix = np.array(
-            [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-        )
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"{source}: expected a 2x2 nested list of [re, im] pairs"
-        ) from None
+    matrix = matrix_from_pairs(read_json(source), source)
     if matrix.shape != (2, 2):
         raise ValidationError(f"{source}: expected a 2x2 matrix, got {matrix.shape}")
-    if not np.allclose(matrix @ matrix.conj().T, np.eye(2), atol=1e-8):
-        raise ValidationError(f"{source}: matrix is not unitary")
-    return matrix, source
+    return check_unitary(matrix, name=f"{source}: matrix"), source
 
 
 def _cmd_sk_compile(args) -> int:
@@ -323,7 +294,7 @@ def _cmd_pbt_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows = compare_bounds(_read_json(args.result), _read_json(args.cost))
+    rows = compare_bounds(read_json(args.result), read_json(args.cost))
     sys.stdout.write(render_compare_table(rows))
     failed = sum(1 for row in rows if not row["passed"])
     if failed:
@@ -332,7 +303,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    records = [_read_json(path) for path in args.results]
+    records = [read_json(path) for path in args.results]
     axes = [axis.strip() for axis in args.axes.split(",") if axis.strip()]
     _deliver(emit_plot_data(records, axes), args.out)
     return 0

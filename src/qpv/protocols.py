@@ -13,7 +13,7 @@ Two deliberate asymmetries, preserved from the protocol definitions:
   count of zero always passes its clause, so the strict form cannot reject a
   flawless transcript at zero thresholds. Integer counts are compared against
   the real thresholds with a 1e-9 guard so float rounding of eta*n never
-  flips a boundary verdict.
+  flips a boundary verdict; largest_strict_count is the strict cut-off.
 - Classical channels are perfect; only the quantum payload passes through
   ChannelModel (per-qubit loss, then depolarizing implemented as a uniform
   random Pauli from {I, X, Y, Z}, i.e. replacement by the maximally mixed
@@ -53,6 +53,7 @@ Python runs on the honest path.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Union
@@ -160,9 +161,6 @@ class ChannelModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1]")
-
-
-NOISELESS = ChannelModel(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -435,12 +433,10 @@ def honest_prover_ip(
     return render_answer(bits, np.asarray(delivered.lost, dtype=bool))
 
 
-def _count_clause(count: int, threshold: float, strict: bool) -> bool:
-    if count == 0:
-        return True
-    if strict:
-        return count < threshold - 1e-9
-    return count <= threshold + 1e-9
+def largest_strict_count(threshold: float) -> int:
+    """The largest count the strict clause `count < threshold` accepts: the
+    largest integer below threshold - 1e-9, or 0, which always passes."""
+    return max(0, math.ceil(threshold - 1e-9) - 1)
 
 
 # answer symbol codes: "0" -> 0, "1" -> 1, the empty symbol -> 2, and every
@@ -472,7 +468,7 @@ def verify_basis(x: np.ndarray, y0: str, y1: str, eta: float) -> Verdict:
     if not answers_equal:
         _answer_codes(y1, n, _ONE)
     errors = int(np.count_nonzero(codes != np.asarray(x)))
-    accepted = answers_equal and _count_clause(errors, eta * n, strict=False)
+    accepted = answers_equal and (errors == 0 or errors <= eta * n + 1e-9)
     return Verdict(accepted, errors, 0, answers_equal)
 
 
@@ -491,8 +487,8 @@ def verify_ip(
     errors = int(np.count_nonzero(~empty & (codes != np.asarray(x))))
     accepted = (
         answers_equal
-        and _count_clause(errors, eta_err * n, strict=True)
-        and _count_clause(losses, eta_loss * n, strict=True)
+        and errors <= largest_strict_count(eta_err * n)
+        and losses <= largest_strict_count(eta_loss * n)
     )
     return Verdict(accepted, errors, losses, answers_equal)
 

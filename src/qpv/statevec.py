@@ -20,7 +20,6 @@ from .pauli import PauliOperator, bits_of_index
 from .rng import RngStream
 
 ATOL_EXACT = 1e-10
-ATOL_EIG = 1e-8
 
 
 def index_of_bits(bits) -> int:

@@ -160,6 +160,15 @@ def test_lossy_confidence_uses_channel_losses_first():
     assert stats.mean_loss_count == float(math.ceil(0.5 * 400) - 1)
 
 
+@pytest.mark.parametrize("eta_loss, declared", [(0.27, 6), (0.28, 6)])
+def test_lossy_confidence_budget_is_what_the_verifier_accepts(eta_loss, declared):
+    # 0.28 * 25 = 7.000000000000001, which the 1e-9 guard reads as 7
+    spec = IPGameSpec(25, 1, eta_err=0.5, eta_loss=eta_loss)
+    stats = play(spec, LossyConfidenceAttack(), 200, seed=5)
+    assert stats.mean_loss_count == declared
+    assert stats.win_rate == 1.0
+
+
 def test_strategy_factory_round_trip(tmp_path):
     assert isinstance(strategy_from_name("pauli"), PauliAttack)
     assert isinstance(strategy_from_name("clifford"), CliffordAttack)
@@ -331,6 +340,22 @@ def test_answer_reads_only_the_exchanged_messages(name, request, answer_twice):
         some_lost |= bool(lost.any())
     # lost positions make with_fallback and the lossy drop mask draw
     assert some_lost
+
+
+@pytest.mark.parametrize("party", ["alice", "bob"])
+def test_sk_answer_rejects_an_unread_correction(sk1, party):
+    spec = IPGameSpec(2, 1, eta_err=0.3)
+    rng = RngStream(5, 0)
+    challenge = gen_ip_challenge(spec, rng)
+    delivered = DeliveredPayload.pristine(challenge.quantum_payload, 2)
+    trial = sk1.new_trial(challenge, delivered, rng)
+    sk1.answer(trial)
+    record = getattr(trial, party)
+    sigmas = list(record["sigmas"])
+    sigmas[1] += ((0, 0),)
+    record["sigmas"] = tuple(sigmas)
+    with pytest.raises(StrategyError, match="unread"):
+        sk1.answer(trial)
 
 
 def test_sk_answer_replays_each_arrived_qubit_once(sk1):

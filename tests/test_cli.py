@@ -1,6 +1,8 @@
 """Exit codes and the single `error=<Class>:` stderr line of the command line."""
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -340,3 +342,103 @@ def test_plot_rejects_a_missing_record_with_one_error_line(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error=ValidationError:")
     assert f"cannot read {missing}" in lines[0]
+
+
+def assert_one_error_line(capsys, prefix: str, fragment: str = ""):
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = error_lines(err)
+    assert len(lines) == 1
+    assert lines[0].startswith(prefix)
+    assert fragment in lines[0]
+
+
+ONE_H = [[{"gate": "H", "targets": [0]}]]
+RAGGED = [[{"gate": [[[1, 0], [0, 0]], [[0, 0]]], "targets": [0], "level": 2}]]
+MALFORMED_LAYOUTS = {
+    "ragged-matrix": json.dumps({"n": 1, "layers": RAGGED}).encode(),
+    "string-n": json.dumps({"n": "two", "layers": ONE_H}).encode(),
+    "bool-n": json.dumps({"n": True, "layers": ONE_H}).encode(),
+    "float-n": json.dumps({"n": 1.0, "layers": ONE_H}).encode(),
+    "layers-not-a-list": json.dumps({"n": 1, "layers": 5}).encode(),
+    "not-utf-8": b'{"n": 1, "layers": []}\xff',
+}
+
+
+@pytest.mark.parametrize("command", ["cost", "run"])
+@pytest.mark.parametrize("doc", list(MALFORMED_LAYOUTS))
+def test_a_malformed_layout_gives_one_validation_error_line(doc, command, tmp_path, capsys):
+    layout = tmp_path / "layout.json"
+    layout.write_bytes(MALFORMED_LAYOUTS[doc])
+    if command == "cost":
+        argv = ["cost", "layout", f"file={layout}"]
+    else:
+        config = tmp_path / "layout.cfg"
+        config.write_text(
+            f"game = basis\nn = 1\nfamily = layout\nlayout_file = {layout}\n"
+            "actor = honest\ntrials = 1\nseed = 1\n"
+        )
+        argv = ["run", str(config)]
+    assert main(argv) == 2
+    assert_one_error_line(capsys, "error=ValidationError:")
+
+
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_a_file_that_is_not_utf_8_gives_one_validation_error_line(command, tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(TINY_RUN.encode() + b"# caf\xe9\n")
+    argv = ["run", str(path)] if command == "run" else ["plot", str(path), "--axes", "n"]
+    assert main(argv) == 2
+    assert_one_error_line(capsys, "error=ValidationError:", "is not UTF-8 text")
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["pauli", "n"], "expected key=value, got 'n'"),
+        (["pauli", "n=1", "n=2"], "duplicate parameter 'n'"),
+        (["pbt", "n=2", "ports=4,x"], "parameter 'ports' expects integers"),
+        (["layout"], "needs parameter file=<path>"),
+        (["sk", "t=1", "l=2", "semi_clifford=yes"], "expects true or false"),
+        (["pbt-fidelity", "ports=8", "x=1"], "formula 'pbt-fidelity': x"),
+        (["tree", "n=2", "k=3", "x=1"], "formula 'tree': x"),
+    ],
+)
+def test_cost_rejects_a_malformed_parameter_list_with_one_error_line(argv, fragment, capsys):
+    assert main(["cost", *argv]) == 2
+    assert_one_error_line(capsys, "error=ValidationError:", fragment)
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The rows of a CSV table, each checked to be as wide as the header."""
+    rows = list(csv.reader(io.StringIO(text)))
+    assert rows and all(len(row) == len(rows[0]) for row in rows)
+    return rows
+
+
+def test_plot_quotes_an_actor_that_holds_commas(tmp_path, capsys):
+    config = tmp_path / "pbt.cfg"
+    config.write_text(
+        TINY_RUN.replace("actor = honest", "actor = pbt:4,4,4").replace("t = 1", "t = 2")
+    )
+    record = tmp_path / "record.json"
+    assert main(["run", str(config), "--out", str(record)]) == 0
+    assert main(["plot", str(record), "--axes", "config.actor,config.n"]) == 0
+    out, err = capsys.readouterr()
+    assert csv_rows(out) == [["config.actor", "config.n"], ["pbt:4,4,4", "3"]]
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["cost", "pbt", "n=2", "ports=4,4"], "params.ports", "4,4"),
+        (["sk-compile", "S", "--depth", "0"], "letters", json.dumps(["T", "T"])),
+    ],
+    ids=["cost-pbt", "sk-compile"],
+)
+def test_csv_records_quote_fields_that_hold_commas(argv, key, value, capsys):
+    assert main([*argv, "--format", "csv"]) == 0
+    out, err = capsys.readouterr()
+    assert dict(csv_rows(out)[1:])[key] == value
+    assert err == ""

@@ -10,7 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpv.errors import ValidationError
-from qpv.protocols import EMPTY_SYMBOL, Verdict, _count_clause, verify_basis, verify_ip
+from qpv.protocols import (
+    EMPTY_SYMBOL,
+    Verdict,
+    largest_strict_count,
+    verify_basis,
+    verify_ip,
+)
+
+
+def _oracle_count_clause(count: int, threshold: float, strict: bool) -> bool:
+    # a zero count always passes; other counts meet the threshold with a 1e-9
+    # guard against float rounding of eta * n
+    if count == 0:
+        return True
+    if strict:
+        return count < threshold - 1e-9
+    return count <= threshold + 1e-9
 
 
 def _oracle_check_answer(y: str, n: int, alphabet: str):
@@ -26,7 +42,7 @@ def oracle_verify_basis(x, y0, y1, eta):
     _oracle_check_answer(y1, n, "01")
     answers_equal = y0 == y1
     errors = sum(1 for q in range(n) if int(y0[q]) != x[q])
-    accepted = answers_equal and _count_clause(errors, eta * n, strict=False)
+    accepted = answers_equal and _oracle_count_clause(errors, eta * n, strict=False)
     return Verdict(accepted, errors, 0, answers_equal)
 
 
@@ -39,8 +55,8 @@ def oracle_verify_ip(x, y0, y1, eta_err, eta_loss):
     errors = sum(1 for q in range(n) if y0[q] != EMPTY_SYMBOL and int(y0[q]) != x[q])
     accepted = (
         answers_equal
-        and _count_clause(errors, eta_err * n, strict=True)
-        and _count_clause(losses, eta_loss * n, strict=True)
+        and _oracle_count_clause(errors, eta_err * n, strict=True)
+        and _oracle_count_clause(losses, eta_loss * n, strict=True)
     )
     return Verdict(accepted, errors, losses, answers_equal)
 
@@ -145,3 +161,13 @@ def test_non_ascii_symbols_raise_the_alphabet_error(symbol):
         verify_ip(x, answer, answer, 0.5, 0.5)
     with pytest.raises(ValidationError, match="outside the alphabet"):
         verify_basis(x, answer, answer, 0.5)
+
+
+def test_largest_strict_count_is_the_strict_clause_cut_off():
+    # eta = k/100 puts eta * n just above an integer for 22 of these pairs
+    for n in range(1, 200):
+        for k in range(101):
+            threshold = k / 100 * n
+            largest = largest_strict_count(threshold)
+            assert _oracle_count_clause(largest, threshold, strict=True)
+            assert not _oracle_count_clause(largest + 1, threshold, strict=True)
