@@ -40,6 +40,7 @@ from __future__ import annotations
 import bisect
 import functools
 from abc import ABC, abstractmethod
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,8 @@ class CoalitionStrategy(ABC):
 
     Both agents answer from the same two records, so a strategy writes the
     decoder once, as `answer`, and `run_trial` reports its string for both.
+    `run_game` plays a block of trials through `run_trials`; a strategy
+    that gains from stacking its trials overrides `new_trials`.
     """
 
     name = "abstract"
@@ -129,10 +132,34 @@ class CoalitionStrategy(ABC):
             EntanglementLedger(self.reserved_epr(challenge)),
         )
 
+    def new_trials(
+        self,
+        challenges: list[Challenge],
+        delivered: list[DeliveredPayload],
+        rngs: list[RngStream],
+    ) -> Iterable[TrialState]:
+        """The shared quantum phase of a block of trials, one trial state
+        per trial in order, each on its own stream. By default each trial
+        runs `new_trial` when it is asked for, so a strategy that needs no
+        block pass still runs one trial at a time."""
+        return map(self.new_trial, challenges, delivered, rngs)
+
     def run_trial(
         self, challenge: Challenge, delivered: DeliveredPayload, rng: RngStream
     ) -> TrialOutcome:
-        trial = self.new_trial(challenge, delivered, rng)
+        return self._outcome(self.new_trial(challenge, delivered, rng))
+
+    def run_trials(
+        self,
+        challenges: list[Challenge],
+        delivered: list[DeliveredPayload],
+        rngs: list[RngStream],
+    ) -> Iterator[TrialOutcome]:
+        """One outcome per trial of a block, answered one trial at a time
+        from the states `new_trials` makes."""
+        return map(self._outcome, self.new_trials(challenges, delivered, rngs))
+
+    def _outcome(self, trial: TrialState) -> TrialOutcome:
         y = self.answer(trial)
         ledger = trial.ledger
         if ledger.consumed > ledger.reserved:

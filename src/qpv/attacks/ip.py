@@ -52,6 +52,7 @@ from .base import (
     BOB,
     CoalitionStrategy,
     CorrectionTranscript,
+    EntanglementLedger,
     TrialState,
     with_fallback,
 )
@@ -72,6 +73,31 @@ def _share_factors(share: IpShare, qubit: int) -> np.ndarray:
 _HOP_FAILED = 2
 
 
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of a (..., 2, 2) stack; each equals its
+    matrix's .conj().T, and a matmul by it rounds as that one's does."""
+    return np.conj(np.swapaxes(stack, -1, -2))
+
+
+def _chain_p1(amps, u, v, visibility: float) -> np.ndarray:
+    """P(1) of qubits that survived every hop of a PBT chain.
+
+    amps (S, 2) are the delivered qubits and u, v (S, t, 2, 2) their
+    factors. Each qubit is stripped of u_1 before the first hop, then of
+    the factor its hop lands on, one stacked matmul per hop; it reads 1
+    with probability visibility |psi_1|^2 + (1 - visibility)/2.
+    """
+    psi = _adjoint(u[:, 0]) @ amps[:, :, None]
+    for h in range(2 * u.shape[1] - 1):
+        # hops 0, 2, 4, ... land at Bob (strips v_{h/2+1}); odd at Alice
+        factor = v[:, h // 2] if h % 2 == 0 else u[:, h // 2 + 1]
+        psi = _adjoint(factor) @ psi
+    # hypot and pow round as the scalar abs() and ** 2 do; np.abs and the
+    # array ** 2 take kernels that differ from them in the last bit
+    amp1 = np.hypot(psi[:, 1, 0].real, psi[:, 1, 0].imag)
+    return visibility * np.float_power(amp1, 2.0) + (1.0 - visibility) / 2.0
+
+
 class PbtAttack(CoalitionStrategy):
     """Bounce every qubit through 2t-1 port teleportations.
 
@@ -89,6 +115,13 @@ class PbtAttack(CoalitionStrategy):
     needed. On a clean channel each qubit is wrong with probability exactly
     e = 1/2 - 1/2 prod_h (1 - q_{m_h}) p_{m_h}: 0.0626 for pbt:8 and
     0.16521 for pbt:8,8,8.
+
+    The block pass `new_trials` is the only path, and `new_trial` runs a
+    block of one. The hop draws depend only on the uniforms, never on the
+    state, so each trial draws all of them first, on its own stream and in
+    the order the qubits would draw them one by one. Then the whole block's
+    survivors are stripped together, one stacked matmul per hop (see
+    `_chain_p1`), with the bits a per-qubit run gives.
     """
 
     def __init__(self, ports):
@@ -97,56 +130,78 @@ class PbtAttack(CoalitionStrategy):
             raise ValidationError("need at least one hop")
         self.ports = ports
         self._channels = {m: build_pbt_channel(m) for m in sorted(set(ports))}
+        # a survivor passed every hop, so its visibility is the product of all
+        visibility = 1.0
+        for m in ports:
+            visibility *= self._channels[m].depolarizing
+        self._visibility = visibility
+        # hop h completes, draw_outcome(rng) == m, exactly when its uniform
+        # reaches the CDF entry of the last port (the CDF ends at 1)
+        self._completion_edges = tuple(self._channels[m].cdf[m - 1] for m in ports)
         self.name = "pbt:" + ",".join(str(m) for m in ports)
 
     def reserved_epr(self, challenge: Challenge) -> int:
         return pbt_cost(challenge.n, self.ports).reserved_epr
 
     def new_trial(self, challenge, delivered, rng) -> TrialState:
-        _require_ip(challenge)
-        t = challenge.spec.t
-        if len(self.ports) != 2 * t - 1:
+        return self.new_trials([challenge], [delivered], [rng])[0]
+
+    def new_trials(self, challenges, delivered, rngs) -> list[TrialState]:
+        """Run the chains of a block of trials that share one spec.
+
+        First each trial, on its own stream, draws its qubits' hop outcomes
+        in qubit order, each up to the first completion, and then the
+        readout uniform of each qubit that survived every hop. No draw
+        depends on the state, so every stream sees the draws, in the order,
+        that it would see if the qubits ran one by one. Then one stacked
+        matmul per hop carries every survivor of the block, with each
+        trial's own factors gathered per qubit (or its one shared copy),
+        and one vectorised P(1) and one compare give every survivor's bit.
+        """
+        spec = challenges[0].spec
+        for challenge in challenges:
+            _require_ip(challenge)
+            if challenge.spec != spec:
+                raise ValidationError("the trials of a block must share one spec")
+        if len(self.ports) != 2 * spec.t - 1:
             raise ValidationError(
-                f"{len(self.ports)} hops cannot strip 2t-1 = {2 * t - 1} factors"
+                f"{len(self.ports)} hops cannot strip 2t-1 = {2 * spec.t - 1} factors"
             )
-        trial = self.base_trial(challenge, delivered, rng)
-        trial.ledger.spend(trial.ledger.reserved)
-        lost = np.asarray(delivered.lost, dtype=bool)
-        trial.alice["lost"] = lost
+        reserved = self.reserved_epr(challenges[0])
+        trials = []
+        # every survivor's trial, qubit and readout uniform
+        survivor_trial, survivor_qubit, readouts = [], [], []
+        for challenge, payload, rng in zip(challenges, delivered, rngs):
+            trial = TrialState(challenge, payload, rng, EntanglementLedger(reserved))
+            trial.ledger.spend(reserved)
+            lost = np.asarray(payload.lost, dtype=bool)
+            trial.alice["lost"] = lost
+            random = rng.generator.random
+            for q, gone in enumerate(lost.tolist()):
+                if gone:
+                    continue
+                for edge in self._completion_edges:
+                    if random() >= edge:
+                        break
+                else:
+                    survivor_trial.append(len(trials))
+                    survivor_qubit.append(q)
+                    readouts.append(random())
+            trials.append(trial)
 
-        amps = delivered.states.amps
-        bits = np.full(challenge.n, _HOP_FAILED, dtype=np.uint8)
-        for q in np.flatnonzero(~lost):
-            bits[q] = self._run_qubit(challenge, amps[q], q, rng)
-        trial.bob["bits"] = bits
-        return trial
-
-    def _run_qubit(
-        self, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
-    ) -> int:
-        """Realized-path chain for one qubit; _HOP_FAILED when any hop failed."""
-        p1 = self._survivor_p1(challenge, amps, q, rng)
-        if p1 is None:
-            return _HOP_FAILED
-        return int(rng.random() < p1)
-
-    def _survivor_p1(
-        self, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
-    ) -> float | None:
-        """Draw every hop's outcome; P(1) at the end, None when a hop failed."""
-        u = _share_factors(challenge.v0_classical, q)
-        v = _share_factors(challenge.v1_classical, q)
-        psi = u[0].conj().T @ amps
-        visibility = 1.0
-        for h, m in enumerate(self.ports):
-            channel = self._channels[m]
-            if channel.draw_outcome(rng) == m:
-                return None
-            # hops 0, 2, 4, ... land at Bob (strips v_{h/2+1}); odd at Alice
-            factor = v[h // 2] if h % 2 == 0 else u[h // 2 + 1]
-            psi = factor.conj().T @ psi
-            visibility *= channel.depolarizing
-        return visibility * float(abs(psi[1]) ** 2) + (1.0 - visibility) / 2.0
+        bits = np.full((len(trials), challenges[0].n), _HOP_FAILED, dtype=np.uint8)
+        if readouts:
+            b, q = np.array(survivor_trial), np.array(survivor_qubit)
+            amps = np.stack([p.states.amps for p in delivered])[b, q]
+            u = np.stack([c.v0_classical.factors for c in challenges])
+            v = np.stack([c.v1_classical.factors for c in challenges])
+            # (survivors, t, 2, 2): each survivor's own copy, or copy 0
+            copy = q if u.shape[2] > 1 else 0
+            p1 = _chain_p1(amps, u[b, :, copy], v[b, :, copy], self._visibility)
+            bits[b, q] = np.array(readouts) < p1
+        for trial, row in zip(trials, bits):
+            trial.bob["bits"] = row
+        return trials
 
     def answer(self, trial) -> str:
         bits, lost = trial.bob["bits"], trial.alice["lost"]

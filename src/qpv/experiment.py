@@ -25,11 +25,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 from typing import Optional, get_type_hints
 
-from .attacks import strategy_from_name
+from .attacks import LayoutAttack, strategy_from_name
 from .errors import ConfigError, ValidationError
-from .layout import load_layout
+from .layout import CircuitLayout, load_layout
 from .protocols import (
     BasisGameSpec,
     ChannelModel,
@@ -242,9 +243,22 @@ def build_spec(config: ExperimentConfig):
     return spec, channel
 
 
-def resolve_actor(name: str):
+def resolve_actor(
+    name: str, layout_file: str | None = None, layout: CircuitLayout | None = None
+):
+    """The actor a config names. An actor `layout:FILE` whose file resolves
+    to the game's `layout_file` takes the game's parsed `layout`, so a run
+    reads that file once."""
     if name == "honest":
         return HonestProver()
+    head, _, arg = name.partition(":")
+    if (
+        head == "layout"
+        and arg
+        and layout is not None
+        and Path(arg).resolve() == Path(layout_file).resolve()
+    ):
+        return LayoutAttack(layout)
     return strategy_from_name(name)
 
 
@@ -281,7 +295,8 @@ def run_experiment(config: ExperimentConfig) -> RunPayload:
     CSV depend only on the config (seed included).
     """
     spec, channel = build_spec(config)
-    actor = resolve_actor(config.actor)
+    layout = spec.layout if isinstance(spec, BasisGameSpec) else None
+    actor = resolve_actor(config.actor, config.layout_file, layout)
     rng = RngStream(config.seed, stream=0)
     start = time.perf_counter()
     stats = run_game(spec, actor, channel, trials=config.trials, rng=rng)

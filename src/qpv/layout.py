@@ -152,6 +152,11 @@ def matrix_from_pairs(spec, where: str) -> np.ndarray:
         raise ValidationError(f"{where}: expected a nested list of [re, im] pairs") from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not, though Python's bool is an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_layout_gate(entry, where: str) -> LayoutGate:
     if not isinstance(entry, dict):
         raise ValidationError(f"{where}: each gate must be an object")
@@ -161,7 +166,14 @@ def _parse_layout_gate(entry, where: str) -> LayoutGate:
     if "gate" not in entry or "targets" not in entry:
         raise ValidationError(f"{where}: a gate needs 'gate' and 'targets'")
     spec = entry["gate"]
+    targets = entry["targets"]
+    if not isinstance(targets, list) or not all(_is_int(t) for t in targets):
+        raise ValidationError(
+            f"{where}: 'targets' must be a list of integers, got {targets!r}"
+        )
     level = entry.get("level")
+    if level is not None and not _is_int(level):
+        raise ValidationError(f"{where}: 'level' must be an integer, got {level!r}")
     if isinstance(spec, str):
         key = spec.upper()
         if key not in _NAMED_GATES:
@@ -174,9 +186,7 @@ def _parse_layout_gate(entry, where: str) -> LayoutGate:
             raise ValidationError(f"{where}: matrix gates need an explicit level")
         matrix = matrix_from_pairs(spec, where)
     try:
-        return LayoutGate(matrix, tuple(entry["targets"]), int(level))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        return LayoutGate(matrix, tuple(targets), level)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
@@ -198,7 +208,7 @@ def load_layout(path) -> CircuitLayout:
     if "n" not in doc or "layers" not in doc:
         raise ValidationError("layout file needs 'n' and 'layers'")
     n = doc["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not _is_int(n):
         raise ValidationError(f"layout 'n' must be an integer, got {n!r}")
     if not isinstance(doc["layers"], list):
         raise ValidationError("layout 'layers' must be a list of layers")

@@ -31,11 +31,17 @@ stacks; the challenge, the honest prover and every IP attack use it.
 
 `run_game` takes trials in blocks of B = max(1, BLOCK_QUBITS // n). Trial i
 owns the stream rng.substream(1 + i). A block first makes the challenges of
-all its trials, then runs each trial's channel, actor and verification in
-index order on that same stream object, which continues from where its
-challenge left it. An IP block (`gen_ip_block`) stacks its trials on a
-leading axis: normals (B, 2t, 2, copies, 2, 2), factors (B, t, copies, 2, 2),
-targets (B, copies, 2, 2) and payload columns (B, n, 2), so one QR, one
+all its trials, then runs each trial's channel, then hands the whole block
+to the actor, and verifies each trial's outcome as it comes back. Each phase
+continues on the trial's own stream object from where the last one left
+it. An actor with a block pass (`run_trials`, which every coalition
+strategy has) takes the whole block and returns its outcomes one at a
+time; the PBT attack stacks its chains across the block there. Any other
+actor runs `run_trial` once per trial.
+
+An IP block (`gen_ip_block`) stacks its trials on a leading axis: normals
+(B, 2t, 2, copies, 2, 2), factors (B, t, copies, 2, 2), targets
+(B, copies, 2, 2) and payload columns (B, n, 2), so one QR, one
 `interleave`, one closure check, one unit-norm check of the target columns
 and one gather serve the whole block. `gen_ip_challenge` makes one trial's
 Challenge from its row of the block; its payload rows are copies of checked
@@ -535,14 +541,17 @@ def run_game(
     then the channel and the actor continue on the same stream object.
     Trials run in blocks of B = max(1, BLOCK_QUBITS // n). A block makes the
     challenges of its trials first (an IP block closes them as one stacked
-    product, see `gen_ip_block`), then runs each trial's channel, actor and
-    verification in index order. No two trials share a stream, so making
-    the challenges of trials i..i+B-1 first leaves every stream's draws in
-    their order: results depend only on (seed, trial index), never on the
-    block size. A finished trial leaves only its row and its reserved EPR
-    count, so memory holds no trial's challenge, state or answers past its
-    block. With channel None the payload is delivered as sent and nothing
-    is drawn for a channel.
+    product, see `gen_ip_block`), then runs each trial's channel in index
+    order. Then the actor plays the block: through its block pass
+    `run_trials(challenges, delivered, rngs)` when it has one, else through
+    `run_trial` once per trial. Either way the outcomes come back one trial
+    at a time, in index order, and each is verified as it arrives. No two
+    trials share a stream, so running a phase for trials i..i+B-1 before the
+    next phase leaves every stream's draws in their order: results depend
+    only on (seed, trial index), never on the block size. A finished trial
+    leaves only its row and its reserved EPR count, so memory holds no
+    trial's challenge, state or answers past its block. With channel None
+    the payload is delivered as sent and nothing is drawn for a channel.
     """
     if trials < 1:
         raise ValidationError("trials must be at least 1")
@@ -559,13 +568,24 @@ def run_game(
                 gen_ip_challenge(spec, r, row)
                 for r, row in zip(rngs, gen_ip_block(spec, rngs))
             ]
-        for i, rng_i, challenge in zip(range(start, trials), rngs, challenges):
-            payload = challenge.quantum_payload
-            if channel is None:
-                delivered = DeliveredPayload.pristine(payload, challenge.n)
-            else:
-                delivered = DeliveredPayload(*apply_channel(payload, channel, rng_i))
-            outcome = actor.run_trial(challenge, delivered, rng_i)
+        if channel is None:
+            delivered = [
+                DeliveredPayload.pristine(c.quantum_payload, c.n) for c in challenges
+            ]
+        else:
+            delivered = [
+                DeliveredPayload(*apply_channel(c.quantum_payload, channel, r))
+                for c, r in zip(challenges, rngs)
+            ]
+        run_trials = getattr(actor, "run_trials", None)
+        if run_trials is None:
+            outcomes = map(actor.run_trial, challenges, delivered, rngs)
+        else:
+            outcomes = run_trials(challenges, delivered, rngs)
+        for i, challenge in zip(range(start, trials), challenges):
+            # drawn here, not zipped in: zip would hold the last outcome
+            # while the actor makes the next
+            outcome = next(outcomes)
             if is_basis:
                 verdict = verify_basis(
                     challenge.secret.x, outcome.y_alice, outcome.y_bob, spec.eta
@@ -581,10 +601,10 @@ def run_game(
             reserved.add(outcome.epr_reserved)
             counts = (verdict.error_count, verdict.loss_count, outcome.epr_consumed)
             rows.append((i, verdict.accepted, *counts))
-            # the delivered state and the answers die with their trial, and
-            # the challenges with their block
-            del delivered, outcome
-        del challenges, challenge, payload
+            # the answers die with their trial, and the challenges and the
+            # delivered states with their block
+            del outcome
+        del challenges, challenge, delivered, outcomes
     if len(reserved) != 1:
         raise ValidationError("strategy reported inconsistent reserved EPR counts")
     wins = sum(row[1] for row in rows)

@@ -12,7 +12,9 @@
 - the whole-register `apply_unitary` written through `tensordot`;
 - the phase-invariant distance of any two square unitaries, through an
   eigensolver;
-- one qubit of a product-state array as a norm-checked state vector.
+- one qubit of a product-state array as a norm-checked state vector;
+- the PBT attack's chain run one qubit at a time, the reference for its
+  stacked block pass.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qpv.attacks.ip import _HOP_FAILED, PbtAttack, _share_factors
 from qpv.costs import _require_positive
 from qpv.errors import ValidationError
 from qpv.experiment import ExperimentConfig, format_value
 from qpv.layout import CircuitLayout, LayoutGate
 from qpv.pauli import ATOL, PauliOperator, phaseless_paulis, try_as_pauli
-from qpv.protocols import ChannelModel
+from qpv.protocols import Challenge, ChannelModel
 from qpv.rng import RngStream
 from qpv.sk import EpsilonNet, _check_depth, _spine, su2_distance, to_su2
 from qpv.statevec import (
@@ -247,3 +250,33 @@ def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
 def qubit(array: QubitArray, i: int) -> StateVector:
     """Qubit i of a product-state array, norm-checked as its own state."""
     return StateVector(array.amps[i])
+
+
+def _survivor_p1(
+    attack: PbtAttack, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
+) -> float | None:
+    """Draw every hop's outcome; P(1) at the end, None when a hop failed."""
+    u = _share_factors(challenge.v0_classical, q)
+    v = _share_factors(challenge.v1_classical, q)
+    psi = u[0].conj().T @ amps
+    visibility = 1.0
+    for h, m in enumerate(attack.ports):
+        channel = attack._channels[m]
+        if channel.draw_outcome(rng) == m:
+            return None
+        # hops 0, 2, 4, ... land at Bob (strips v_{h/2+1}); odd at Alice
+        factor = v[h // 2] if h % 2 == 0 else u[h // 2 + 1]
+        psi = factor.conj().T @ psi
+        visibility *= channel.depolarizing
+    return visibility * float(abs(psi[1]) ** 2) + (1.0 - visibility) / 2.0
+
+
+def _run_qubit(
+    attack: PbtAttack, challenge: Challenge, amps: np.ndarray, q: int, rng: RngStream
+) -> tuple[int, float | None]:
+    """One qubit's PBT chain on `rng`: (bit, P(1)), with _HOP_FAILED and
+    None when a hop failed."""
+    p1 = _survivor_p1(attack, challenge, amps, q, rng)
+    if p1 is None:
+        return _HOP_FAILED, None
+    return int(rng.random() < p1), p1

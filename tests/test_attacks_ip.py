@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from qpv.attacks import (
@@ -15,6 +16,7 @@ from qpv.attacks import (
     TreeAttack,
     strategy_from_name,
 )
+from qpv.attacks import ip as ip_module
 from qpv.attacks.base import EntanglementLedger
 from qpv.attacks.ip import _HOP_FAILED, _TableChain, _share_factors
 from qpv import sk as sk_module
@@ -27,12 +29,15 @@ from qpv.protocols import (
     IPGameSpec,
     apply_channel,
     gen_basis_challenge,
+    gen_ip_block,
     gen_ip_challenge,
     run_game,
 )
 from qpv.rng import RngStream
 from qpv.statevec import DensityMatrix, StateVector
 from qpv.teleport import build_pbt_channel, pbt_teleport, pbt_teleport_density
+
+from oracles import _run_qubit
 
 CLEAN = ChannelModel()
 
@@ -221,12 +226,66 @@ def test_pbt_attack_error_rate_is_exact():
         assert abs(stats.mean_error_count - n * e) < 4 * stderr
 
 
-def _density_run_qubit(attack, challenge, qubit, q, rng):
+def _pbt_block(spec, channel, trials, seed):
+    """A block of PBT trials as `run_game` hands it over: challenges drawn as
+    one block, each trial's channel applied on its own stream. Returns
+    (challenges, delivered, streams, references): each reference is a second
+    stream that has drawn the same challenge and channel, so it stands where
+    its trial's stream stands when the actor starts."""
+    streams = [RngStream(seed, 1 + i) for i in range(trials)]
+    challenges = [
+        gen_ip_challenge(spec, r, row) for r, row in zip(streams, gen_ip_block(spec, streams))
+    ]
+    delivered = [
+        DeliveredPayload(*apply_channel(c.quantum_payload, channel, r))
+        for c, r in zip(challenges, streams)
+    ]
+    references = []
+    for i, payload in enumerate(delivered):
+        ref = RngStream(seed, 1 + i)
+        alone = gen_ip_challenge(spec, ref)
+        state, lost = apply_channel(alone.quantum_payload, channel, ref)
+        assert np.array_equal(state.amps, payload.states.amps)
+        assert np.array_equal(lost, payload.lost)
+        references.append(ref)
+    return challenges, delivered, streams, references
+
+
+def _block_pass(attack, challenges, delivered, streams, monkeypatch):
+    """The block pass's trial states, and the P(1) of every survivor in
+    (trial, qubit) order, taken from `_chain_p1` on the way."""
+    seen = []
+    chain_p1 = ip_module._chain_p1
+
+    def spy(*args):
+        seen.append(chain_p1(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ip_module, "_chain_p1", spy)
+    trials = attack.new_trials(challenges, delivered, streams)
+    return trials, (np.concatenate(seen) if seen else np.empty(0))
+
+
+def _run_trials_by_qubit(run_qubit, attack, challenges, delivered, references):
+    """Each trial's qubits run one at a time on its reference stream:
+    (bits per trial, P(1) of every survivor in (trial, qubit) order)."""
+    bits, survivors = [], []
+    for challenge, payload, ref in zip(challenges, delivered, references):
+        row = np.full(challenge.n, _HOP_FAILED, dtype=np.uint8)
+        for q in np.flatnonzero(~np.asarray(payload.lost, dtype=bool)):
+            row[q], p1 = run_qubit(attack, challenge, payload.states.amps[q], q, ref)
+            if p1 is not None:
+                survivors.append(p1)
+        bits.append(row)
+    return bits, np.array(survivors)
+
+
+def _density_run_qubit(attack, challenge, amps, q, rng):
     """The PBT chain hop by hop on the receiver's density matrix: (bit, p1),
     p1 None when a hop failed. Oracle for the scalar-visibility run."""
     u = _share_factors(challenge.v0_classical, q)
     v = _share_factors(challenge.v1_classical, q)
-    state = StateVector(u[0].conj().T @ qubit.amps)
+    state = StateVector(u[0].conj().T @ amps)
     for h, m in enumerate(attack.ports):
         channel = build_pbt_channel(m)
         if isinstance(state, StateVector):
@@ -242,29 +301,56 @@ def _density_run_qubit(attack, challenge, qubit, q, rng):
     return int(rng.random() < min(max(p1, 0.0), 1.0)), p1
 
 
+def _assert_streams_agree(streams, references):
+    """Both sides drew as many uniforms from every trial's stream."""
+    for rng, ref in zip(streams, references):
+        assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize(
     "ports, t", [((8, 8, 8), 2), ((4, 6, 8, 4, 8), 3)], ids=["pbt-8-8-8", "pbt-4-6-8-4-8"]
 )
-def test_pbt_run_matches_the_density_matrix_oracle(ports, t):
-    n = 2000
-    spec = IPGameSpec(n, t, eta_err=0.5, per_qubit_unitaries=True)
-    challenge = gen_ip_challenge(spec, RngStream(47, 0))
-    amps = challenge.quantum_payload.amps
+def test_pbt_run_matches_the_density_matrix_oracle(ports, t, monkeypatch):
+    spec = IPGameSpec(50, t, eta_err=0.5, per_qubit_unitaries=True)
     attack = PbtAttack(ports)
-    bits = []
-    for q in range(n):
-        bit = attack._run_qubit(challenge, amps[q], q, RngStream(53, 1 + q))
-        want, want_p1 = _density_run_qubit(
-            attack, challenge, StateVector(amps[q]), q, RngStream(53, 1 + q)
-        )
-        assert bit == want
-        p1 = attack._survivor_p1(challenge, amps[q], q, RngStream(53, 1 + q))
-        assert (p1 is None) == (want_p1 is None)
-        if p1 is not None:
-            assert abs(p1 - want_p1) < 1e-12
-        bits.append(bit)
-    # both outcomes and failed hops all occur, so every branch is compared
-    assert {0, 1, _HOP_FAILED} <= set(bits)
+    block = _pbt_block(spec, ChannelModel(p_loss=0.1, p_dep=0.1), 40, seed=47)
+    challenges, delivered, streams, references = block
+    trials, p1 = _block_pass(attack, challenges, delivered, streams, monkeypatch)
+    want_bits, want_p1 = _run_trials_by_qubit(
+        _density_run_qubit, attack, challenges, delivered, references
+    )
+    for trial, want in zip(trials, want_bits):
+        assert np.array_equal(trial.bob["bits"], want)
+    assert p1.shape == want_p1.shape
+    assert np.max(np.abs(p1 - want_p1)) < 1e-12
+    _assert_streams_agree(streams, references)
+    # both outcomes, failed hops and lost qubits all occur
+    assert {0, 1, _HOP_FAILED} <= set(np.concatenate(want_bits).tolist())
+    assert any(np.any(d.lost) for d in delivered)
+
+
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+@pytest.mark.parametrize(
+    "ports, t", [((8, 8, 8), 2), ((2, 2, 2), 2), ((4, 6, 8, 4, 8), 3)],
+    ids=["pbt-8-8-8", "pbt-2-2-2", "pbt-4-6-8-4-8"],
+)
+def test_pbt_block_pass_keeps_every_bit_of_the_per_qubit_chain(
+    ports, t, per_qubit, monkeypatch
+):
+    spec = IPGameSpec(16, t, eta_err=0.5, per_qubit_unitaries=per_qubit)
+    attack = PbtAttack(ports)
+    block = _pbt_block(spec, ChannelModel(p_loss=0.2, p_dep=0.1), 24, seed=61)
+    challenges, delivered, streams, references = block
+    trials, p1 = _block_pass(attack, challenges, delivered, streams, monkeypatch)
+    want_bits, want_p1 = _run_trials_by_qubit(
+        _run_qubit, attack, challenges, delivered, references
+    )
+    for trial, want in zip(trials, want_bits):
+        assert np.array_equal(trial.bob["bits"], want)
+    assert p1.tolist() == want_p1.tolist()
+    _assert_streams_agree(streams, references)
+    assert {0, 1, _HOP_FAILED} <= set(np.concatenate(want_bits).tolist())
+    assert any(np.any(d.lost) for d in delivered)
 
 
 def test_sk_attack_undoes_an_x_type_residue():

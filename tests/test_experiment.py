@@ -2,10 +2,12 @@
 
 import dataclasses
 import hashlib
+import shutil
 from pathlib import Path
 
 import pytest
 
+from qpv import layout as layout_module
 from qpv.errors import ConfigError, ValidationError
 from qpv.experiment import (
     ExperimentConfig,
@@ -453,6 +455,37 @@ def test_trial_csvs_match_their_frozen_digests(text, digest):
     # one row per trial, in index order, with every count a finished trial keeps
     csv = run_experiment(parse_config(text)).trial_csv
     assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "actor_file, reads",
+    [("same", 1), ("relative", 1), ("copy", 2)],
+    ids=["same-path", "same-file-relative", "other-file"],
+)
+def test_a_layout_run_parses_its_layout_file_once(
+    actor_file, reads, tmp_path, monkeypatch
+):
+    # a layout actor naming the game's own file takes the game's parsed
+    # layout; another file, even one with the same content, is parsed too
+    seen = []
+    read_json = layout_module.read_json
+
+    def counted(path):
+        seen.append(path)
+        return read_json(path)
+
+    monkeypatch.setattr(layout_module, "read_json", counted)
+    monkeypatch.chdir(T_PAIR_CNOT.parent)
+    actor = {
+        "same": T_PAIR_CNOT,
+        "relative": T_PAIR_CNOT.name,
+        "copy": shutil.copy(T_PAIR_CNOT, tmp_path),
+    }[actor_file]
+    text = _basis(f"layout:{actor}", "layout", 2, 0.2, 20, layout_file=T_PAIR_CNOT)
+    record = run_experiment(parse_config(text)).record
+    assert len(seen) == reads
+    # the frozen layout-t-pair-cnot digest checks that the record is unchanged
+    assert record["config"]["actor"] == f"layout:{actor}"
 
 
 def test_a_single_trial_has_zero_stderrs_and_one_csv_row():

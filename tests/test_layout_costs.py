@@ -159,6 +159,31 @@ def test_load_layout_errors(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("targets", "10"),
+        ("targets", ["0"]),
+        ("targets", [1.7]),
+        ("targets", [1.0]),
+        ("targets", [True]),
+        ("level", "3"),
+        ("level", 3.9),
+        ("level", True),
+    ],
+    ids=[
+        "targets-string", "target-string", "target-float", "target-whole-float",
+        "target-bool", "level-string", "level-float", "level-bool",
+    ],
+)
+def test_load_layout_rejects_targets_and_levels_that_are_not_integers(tmp_path, key, value):
+    gate = {"gate": "T", "targets": [0], "level": 3, key: value}
+    path = tmp_path / "layout.json"
+    path.write_text(json.dumps({"n": 2, "layers": [[gate]]}), encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"layer 1 gate 1: '{key}' must be"):
+        load_layout(path)
+
+
 def test_pauli_and_clifford_costs():
     assert pauli_cost(4) == CostReport(0, 0, "pauli")
     assert clifford_cost(3) == CostReport(3, 3, "clifford")

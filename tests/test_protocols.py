@@ -285,6 +285,22 @@ def test_run_game_rows_match_per_trial_play_across_blocks(blocks, extra, mode):
     assert stats.trial_rows == want
 
 
+@pytest.mark.parametrize("per_qubit", [False, True], ids=["shared", "per-qubit"])
+def test_pbt_rows_do_not_depend_on_the_block_size(per_qubit, monkeypatch):
+    spec = IPGameSpec(4, 2, eta_err=0.5, eta_loss=0.5, per_qubit_unitaries=per_qubit)
+    channel = ChannelModel(p_loss=0.1, p_dep=0.1)
+    actor = strategy_from_name("pbt:4,4,4")
+    # blocks of 1, 32 and 256 trials; 275 is a multiple of none but the first
+    rows = []
+    for budget in (4, 128, 1024):
+        monkeypatch.setattr(protocols, "BLOCK_QUBITS", budget)
+        rows.append(run_game(spec, actor, channel, 275, RngStream(79, 0)).trial_rows)
+    assert rows[0] == rows[1] == rows[2]
+    # losses, errors and wins all occur, so the rows tell the sizes apart
+    assert {row[1] for row in rows[0]} == {False, True}
+    assert any(row[3] for row in rows[0])
+
+
 def test_apply_channel_loss_marks_all(rng):
     state = StateVector.from_bits((0, 1))
     _, lost = apply_channel(state, ChannelModel(p_loss=1.0), rng)
